@@ -1,10 +1,8 @@
-//! Resumable campaign state: the spec identity plus every completed run's
-//! folded output, serialisable via `lazyeye-json`.
+//! Resumable campaign state: the campaign as a run-kernel [`Matrix`].
 //!
-//! A [`Checkpoint`] is the on-disk form of "how far a campaign got": the
-//! spec (so a resume can verify it continues the *same* campaign), the
-//! first-pass run count (a cheap shape check), an optional [`Shard`]
-//! restriction, and a completed-run map `index → RunOutput`. Because a
+//! A [`Checkpoint`] is the kernel's [`Partial`] over campaign runs: the
+//! spec, the first-pass run count (`pass1_runs` on disk), an optional
+//! [`Shard`], and a completed-run map `index → RunOutput`. Because a
 //! [`RunOutput`] is already the per-run reduction of the raw capture,
 //! checkpoints stay small — a few hundred bytes per completed run — and
 //! resuming folds stored outputs in run-index order exactly as an
@@ -16,207 +14,75 @@
 //! - `--shard i/n` + `--merge a.json b.json …`: each shard emits its
 //!   completed slice as a partial, and the merge unions the disjoint
 //!   partials back into one state before finishing the campaign.
+//!
+//! This module contributes only what is campaign-specific: the plan, the
+//! run context, the kind check and the [`RunOutput`] JSON codec.
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
-
+use lazyeye_exec::{Matrix, Partial};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_net::Family;
 use lazyeye_testbed::{CadSample, RdSample, ResolverSample, SelectionResult};
 
-pub use lazyeye_exec::Shard;
+pub use lazyeye_exec::{merge, Shard};
 
-use crate::executor::RunOutput;
-use crate::plan::SpecError;
+use crate::executor::{run_one, RunContext, RunOutput};
+use crate::plan::{expand, RunKind, RunSpec, SpecError};
 use crate::spec::CampaignSpec;
 
-/// Checkpoint format version; bumped on incompatible layout changes.
-const VERSION: u64 = 1;
+/// The campaign as a resumable, shardable sweep of first-pass runs.
+#[derive(Clone, Copy, Debug)]
+pub struct CampaignMatrix;
 
 /// Serialisable campaign progress: spec identity + completed run outputs.
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    /// The campaign this state belongs to.
-    pub spec: CampaignSpec,
-    /// Size of the first-pass expansion (shape sanity check on resume).
-    pub pass1_runs: u64,
-    /// The shard restriction this state was produced under, if any.
-    pub shard: Option<Shard>,
-    outputs: BTreeMap<u64, RunOutput>,
-}
+pub type Checkpoint = Partial<CampaignMatrix>;
 
-impl Checkpoint {
-    /// Fresh state for a campaign whose first pass expands to
-    /// `pass1_runs` runs.
-    pub fn new(spec: CampaignSpec, pass1_runs: u64, shard: Option<Shard>) -> Checkpoint {
-        Checkpoint {
-            spec,
-            pass1_runs,
-            shard,
-            outputs: BTreeMap::new(),
-        }
+impl Matrix for CampaignMatrix {
+    type Spec = CampaignSpec;
+    type Plan = Vec<RunSpec>;
+    type Item = RunSpec;
+    type Output = RunOutput;
+    type Context<'a> = RunContext;
+    type Error = SpecError;
+    const COUNT_KEY: &'static str = "pass1_runs";
+    const ITEM: &'static str = "run";
+
+    fn plan(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
+        expand(spec)
     }
 
-    /// Records one completed run.
-    pub fn record(&mut self, index: u64, output: RunOutput) {
-        self.outputs.insert(index, output);
+    fn items(plan: &Vec<RunSpec>) -> &[RunSpec] {
+        plan
     }
 
-    /// The completed-run map, keyed by run index.
-    pub fn completed(&self) -> &BTreeMap<u64, RunOutput> {
-        &self.outputs
+    fn context<'a>(spec: &'a CampaignSpec, _: &'a Vec<RunSpec>) -> Result<RunContext, SpecError> {
+        RunContext::new(spec)
     }
 
-    /// Number of completed runs recorded.
-    pub fn completed_runs(&self) -> u64 {
-        self.outputs.len() as u64
+    fn run(ctx: &RunContext, run: &RunSpec) -> RunOutput {
+        run_one(ctx, run)
     }
 
-    /// Checks the stored first-pass shape against the current expansion
-    /// of the checkpoint's spec. A mismatch means the binary's expansion
-    /// rules changed since the checkpoint was written (e.g. an axis was
-    /// added to the matrix): stored outputs are keyed by run index, so
-    /// stitching them onto a reindexed run list would silently corrupt
-    /// the report — refuse instead.
-    pub fn validate_shape(&self, pass1_runs: u64) -> Result<(), SpecError> {
-        if self.pass1_runs != pass1_runs {
-            return Err(SpecError::new(format!(
-                "checkpoint was written for a {}-run first pass but the spec now expands \
-                 to {} runs (expansion rules changed since it was saved); re-run the \
-                 campaign instead of resuming",
-                self.pass1_runs, pass1_runs
-            )));
-        }
-        Ok(())
+    fn index(run: &RunSpec) -> u64 {
+        run.index
     }
 
-    /// First-pass indices (0..pass1_runs) not yet completed, honouring the
-    /// shard restriction when set.
-    pub fn missing_pass1(&self) -> Vec<u64> {
-        (0..self.pass1_runs)
-            .filter(|i| self.shard.is_none_or(|s| s.owns(*i)))
-            .filter(|i| !self.outputs.contains_key(i))
-            .collect()
+    fn matches(run: &RunSpec, output: &RunOutput) -> bool {
+        matches!(
+            (&run.kind, output),
+            (RunKind::Cad { .. }, RunOutput::Cad(_))
+                | (RunKind::Rd { .. }, RunOutput::Rd(_))
+                | (RunKind::Selection { .. }, RunOutput::Selection(_))
+                | (RunKind::Resolver { .. }, RunOutput::Resolver(_))
+        )
     }
 
-    /// Serialises the state to pretty JSON.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.to_json_string_into(&mut out);
-        out
+    fn output_to_json(output: &RunOutput) -> Json {
+        output_to_json(output)
     }
 
-    /// [`Checkpoint::to_json_string`] into a reusable caller buffer — the
-    /// periodic saver re-serialises the whole checkpoint every few dozen
-    /// runs, so buffer reuse saves one large allocation per save.
-    pub fn to_json_string_into(&self, out: &mut String) {
-        let outputs: Vec<Json> = self
-            .outputs
-            .iter()
-            .map(|(index, output)| {
-                let mut pairs = vec![("index".to_string(), index.to_json())];
-                let Json::Obj(body) = output_to_json(output) else {
-                    unreachable!("outputs serialise to objects");
-                };
-                pairs.extend(body);
-                Json::Obj(pairs)
-            })
-            .collect();
-        Json::obj(vec![
-            ("version", VERSION.to_json()),
-            ("spec", ToJson::to_json(&self.spec)),
-            ("pass1_runs", self.pass1_runs.to_json()),
-            ("shard", self.shard.as_ref().map(ToJson::to_json).to_json()),
-            ("outputs", Json::Arr(outputs)),
-        ])
-        .write_pretty_into(out);
-        out.push('\n');
+    fn output_from_json(v: &Json) -> Result<RunOutput, JsonError> {
+        output_from_json(v)
     }
-
-    /// Parses a checkpoint back from JSON.
-    pub fn from_json_str(s: &str) -> Result<Checkpoint, JsonError> {
-        let v = Json::parse(s)?;
-        let version = u64::from_json(&v["version"])?;
-        if version != VERSION {
-            return Err(JsonError::new(format!(
-                "checkpoint version {version} not supported (expected {VERSION})"
-            )));
-        }
-        let spec = <CampaignSpec as FromJson>::from_json(&v["spec"])?;
-        let pass1_runs = u64::from_json(&v["pass1_runs"])?;
-        let shard = Option::<Shard>::from_json(&v["shard"])?;
-        let mut outputs = BTreeMap::new();
-        for entry in v["outputs"]
-            .as_array()
-            .ok_or_else(|| JsonError::new("checkpoint outputs: expected array"))?
-        {
-            let index = u64::from_json(&entry["index"])?;
-            outputs.insert(index, output_from_json(entry)?);
-        }
-        Ok(Checkpoint {
-            spec,
-            pass1_runs,
-            shard,
-            outputs,
-        })
-    }
-
-    /// Writes the state to `path` atomically (temp file + rename), so a
-    /// kill mid-save can never leave a truncated checkpoint behind.
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        self.save_with_buf(path, &mut String::new())
-    }
-
-    /// [`Checkpoint::save`] with a reusable serialisation buffer — the
-    /// CLI's periodic saver passes the same buffer on every save.
-    pub fn save_with_buf(&self, path: &str, buf: &mut String) -> std::io::Result<()> {
-        buf.clear();
-        self.to_json_string_into(buf);
-        let tmp = format!("{path}.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Loads a checkpoint from `path`.
-    pub fn load(path: &str) -> Result<Checkpoint, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Checkpoint::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Folds disjoint partial states (shard outputs, interrupted checkpoints)
-/// of the *same* campaign into one. The partials must agree on spec and
-/// first-pass shape; the result carries no shard restriction.
-pub fn merge_checkpoints(
-    parts: impl IntoIterator<Item = Checkpoint>,
-) -> Result<Checkpoint, SpecError> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Err(SpecError::new("merge needs at least one partial"));
-    };
-    let mut merged = Checkpoint {
-        shard: None,
-        ..first
-    };
-    for part in parts {
-        if part.spec != merged.spec {
-            return Err(SpecError::new(
-                "merge: partials come from different campaign specs",
-            ));
-        }
-        if part.pass1_runs != merged.pass1_runs {
-            return Err(SpecError::new(format!(
-                "merge: partials disagree on first-pass run count ({} vs {})",
-                part.pass1_runs, merged.pass1_runs
-            )));
-        }
-        merged.outputs.extend(part.outputs);
-    }
-    Ok(merged)
 }
 
 // ---------------------------------------------------------------------------
@@ -418,9 +284,9 @@ mod tests {
         let text = ckpt.to_json_string();
         let back = Checkpoint::from_json_str(&text).unwrap();
         assert_eq!(back.spec, ckpt.spec);
-        assert_eq!(back.pass1_runs, 10);
+        assert_eq!(back.planned, 10);
         assert_eq!(back.shard, Some(Shard { index: 1, count: 3 }));
-        assert_eq!(back.completed_runs(), 4);
+        assert_eq!(back.completed_count(), 4);
         // Exact field fidelity, including the f64s the report depends on.
         assert_eq!(back.to_json_string(), text);
         match &back.completed()[&0] {
@@ -447,16 +313,16 @@ mod tests {
                 b.record(index, output);
             }
         }
-        let merged = merge_checkpoints([a.clone(), b]).unwrap();
-        assert_eq!(merged.completed_runs(), 4);
+        let merged = merge([a.clone(), b]).unwrap();
+        assert_eq!(merged.completed_count(), 4);
         assert_eq!(merged.shard, None);
 
         let mut other_spec = spec;
         other_spec.seed = 999;
         let c = Checkpoint::new(other_spec, 10, None);
-        assert!(merge_checkpoints([a.clone(), c]).is_err());
+        assert!(merge([a.clone(), c]).is_err());
         let d = Checkpoint::new(a.spec.clone(), 11, None);
-        assert!(merge_checkpoints([a, d]).is_err());
+        assert!(merge([a, d]).is_err());
     }
 
     #[test]
@@ -466,7 +332,7 @@ mod tests {
             6,
             Some(Shard { index: 0, count: 2 }),
         );
-        assert_eq!(ckpt.missing_pass1(), vec![0, 2, 4]);
+        assert_eq!(ckpt.missing(), vec![0, 2, 4]);
         ckpt.record(
             2,
             RunOutput::Cad(CadSample {
@@ -477,7 +343,7 @@ mod tests {
                 aaaa_first: None,
             }),
         );
-        assert_eq!(ckpt.missing_pass1(), vec![0, 4]);
+        assert_eq!(ckpt.missing(), vec![0, 4]);
     }
 
     #[test]

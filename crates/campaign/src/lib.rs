@@ -20,10 +20,10 @@
 //!    flags) in run-index order.
 //! 6. **[`report`]** — JSON/CSV/text emitters plus a Table-2 style
 //!    feature-matrix roll-up.
-//! 7. **[`checkpoint`]** — resumable progress (`--checkpoint`/
-//!    `--resume`) and multi-machine sharding (`--shard i/n` +
-//!    `--merge`): completed run outputs serialise to JSON and fold back
-//!    losslessly.
+//! 7. **[`checkpoint`]** — the campaign as a run-kernel matrix
+//!    ([`lazyeye_exec::Matrix`]): resumable progress (`--checkpoint`/
+//!    `--resume`) and multi-machine sharding (`--shard i/n` + `--merge`)
+//!    through the kernel's one partial format, stitch and shard runner.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(CampaignSpec, seed)`. Worker count, scheduling, steal patterns,
@@ -68,8 +68,10 @@ pub mod spec;
 
 use std::collections::BTreeMap;
 
+use lazyeye_exec::{check_stitched, execute_missing};
+
 pub use aggregate::{Aggregator, CellReport, FeatureSummary, P2Quantile, StreamStats};
-pub use checkpoint::{merge_checkpoints, Checkpoint, Shard};
+pub use checkpoint::{merge, CampaignMatrix, Checkpoint, Shard};
 pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
 pub use forensics::{replay, ReplayReport, RunProvenance};
 pub use inference::{build_inference, InferenceSection, InferredClientReport};
@@ -136,7 +138,9 @@ pub fn run_campaign_resumable(
 }
 
 /// [`run_campaign_resumable`] with the analytic fast path toggled by
-/// `fast_path` (see [`run_campaign_with`]).
+/// `fast_path` (see [`run_campaign_with`]). Each pass is one call into the
+/// run kernel's [`execute_missing`]; `progress` sees one running total
+/// that grows when the refinement pass is planned.
 pub fn run_campaign_resumable_with(
     spec: &CampaignSpec,
     jobs: usize,
@@ -147,65 +151,39 @@ pub fn run_campaign_resumable_with(
 ) -> Result<(Vec<RunSpec>, Vec<RunOutput>), SpecError> {
     let pass1 = expand(spec)?;
     let ctx = RunContext::new_with(spec, &pass1, fast_path)?;
+    let run = |r: &RunSpec| run_one(&ctx, r);
 
-    let pending1: Vec<RunSpec> = pass1
-        .iter()
-        .filter(|r| !completed.contains_key(&r.index))
-        .cloned()
-        .collect();
-    let mut total = pending1.len();
+    let mut base = 0;
     let pass1_span = lazyeye_obs::trace::wall_span("campaign.pass1");
-    let out1 = execute_with(
-        &ctx,
-        &pending1,
+    let mut outputs = execute_missing::<CampaignMatrix>(
+        &pass1,
+        completed,
         jobs,
-        |done, _| progress(done, total),
-        |pos, out| on_result(&pending1[pos], out),
-    );
-    let outputs1 = stitch(&pass1, completed, out1);
+        run,
+        |done, total| {
+            base = total;
+            progress(done, total)
+        },
+        &mut on_result,
+    )?;
     drop(pass1_span);
 
-    let pass2 = refine::plan_refinement(spec, &pass1, &outputs1);
+    let pass2 = refine::plan_refinement(spec, &pass1, &outputs);
     forensics::on_refinement_brackets(spec, &pass2);
-    let pending2: Vec<RunSpec> = pass2
-        .iter()
-        .filter(|r| !completed.contains_key(&r.index))
-        .cloned()
-        .collect();
-    total += pending2.len();
-    let base = pending1.len();
     let _refine_span = lazyeye_obs::trace::wall_span("campaign.refine");
-    let out2 = execute_with(
-        &ctx,
-        &pending2,
+    outputs.extend(execute_missing::<CampaignMatrix>(
+        &pass2,
+        completed,
         jobs,
-        |done, _| progress(base + done, total),
-        |pos, out| on_result(&pending2[pos], out),
-    );
-    let outputs2 = stitch(&pass2, completed, out2);
+        run,
+        |done, total| progress(base + done, base + total),
+        &mut on_result,
+    )?);
 
     let mut runs = pass1;
     runs.extend(pass2);
-    let mut outputs = outputs1;
-    outputs.extend(outputs2);
+    check_stitched::<CampaignMatrix>(completed, runs.len())?;
     Ok((runs, outputs))
-}
-
-/// Interleaves stored outputs with freshly executed ones, restoring run
-/// order: `fresh` holds outputs for exactly the runs absent from
-/// `completed`, in run order.
-fn stitch(
-    runs: &[RunSpec],
-    completed: &BTreeMap<u64, RunOutput>,
-    fresh: Vec<RunOutput>,
-) -> Vec<RunOutput> {
-    let mut fresh = fresh.into_iter();
-    runs.iter()
-        .map(|r| match completed.get(&r.index) {
-            Some(stored) => stored.clone(),
-            None => fresh.next().expect("one fresh output per pending run"),
-        })
-        .collect()
 }
 
 /// Folds `(run, output)` pairs — as returned by
@@ -250,60 +228,6 @@ pub fn build_report_with(
     }
 }
 
-/// Executes one shard of a campaign's **first pass** — runs with
-/// `index % shard.count == shard.index` — and returns the partial state
-/// for [`merge_checkpoints`]. Prior progress in `resume_from` (a partial
-/// checkpoint of the *same* shard) is kept and skipped over.
-///
-/// Shards deliberately stop before the refinement pass: the refinement
-/// plan needs every first-pass cell, which no single shard has. The merge
-/// side ([`finish_from_checkpoint`]) runs it — the fine pass is a few
-/// dozen runs where the coarse pass is hundreds, so distributing it buys
-/// nothing.
-pub fn run_shard(
-    spec: &CampaignSpec,
-    jobs: usize,
-    shard: Shard,
-    resume_from: Option<Checkpoint>,
-    mut progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&Checkpoint),
-) -> Result<Checkpoint, SpecError> {
-    let pass1 = expand(spec)?;
-    let ctx = RunContext::new(spec)?;
-    let mut ckpt = match resume_from {
-        Some(c) => {
-            if &c.spec != spec {
-                return Err(SpecError::new("resume: checkpoint is for a different spec"));
-            }
-            if c.shard != Some(shard) {
-                return Err(SpecError::new(
-                    "resume: checkpoint was produced under a different shard",
-                ));
-            }
-            c.validate_shape(pass1.len() as u64)?;
-            c
-        }
-        None => Checkpoint::new(spec.clone(), pass1.len() as u64, Some(shard)),
-    };
-    let pending: Vec<RunSpec> = pass1
-        .iter()
-        .filter(|r| shard.owns(r.index) && !ckpt.completed().contains_key(&r.index))
-        .cloned()
-        .collect();
-    let total = pending.len();
-    let _ = execute_with(
-        &ctx,
-        &pending,
-        jobs,
-        |done, _| progress(done, total),
-        |pos, out| {
-            ckpt.record(pending[pos].index, out.clone());
-            on_result(&ckpt);
-        },
-    );
-    Ok(ckpt)
-}
-
 /// Finishes a campaign from stored state: executes whatever the
 /// checkpoint is missing (first pass and refinement pass), and builds the
 /// canonical report — byte-identical to an uninterrupted run.
@@ -311,8 +235,8 @@ pub fn run_shard(
 /// This is both `--resume` (an interrupted checkpoint) and the tail of
 /// `--merge` (a union of shard partials). Missing first-pass runs are
 /// executed locally, so a merge of incomplete partials still produces the
-/// canonical report — check [`Checkpoint::missing_pass1`] first if you
-/// want to warn instead.
+/// canonical report — check [`Checkpoint::missing`] first if you want to
+/// warn instead.
 pub fn finish_from_checkpoint(
     ckpt: &Checkpoint,
     jobs: usize,
@@ -331,11 +255,10 @@ pub fn finish_from_checkpoint_with(
     progress: impl FnMut(usize, usize),
     on_result: impl FnMut(&RunSpec, &RunOutput),
 ) -> Result<CampaignReport, SpecError> {
-    let spec = ckpt.spec.clone();
-    ckpt.validate_shape(expand(&spec)?.len() as u64)?;
+    ckpt.validate()?;
     let (runs, outputs) =
-        run_campaign_resumable(&spec, jobs, ckpt.completed(), progress, on_result)?;
-    Ok(build_report_with(&spec, &runs, &outputs, classify))
+        run_campaign_resumable(&ckpt.spec, jobs, ckpt.completed(), progress, on_result)?;
+    Ok(build_report_with(&ckpt.spec, &runs, &outputs, classify))
 }
 
 // Send-safety audit: the executor moves run specs into worker threads and

@@ -36,6 +36,12 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<String> for SpecError {
+    fn from(message: String) -> SpecError {
+        SpecError { message }
+    }
+}
+
 /// What a single run measures. All fields are plain owned data so run
 /// specs can cross thread boundaries freely (the executor's Send audit
 /// pins this down).

@@ -5,8 +5,8 @@
 use std::collections::BTreeMap;
 
 use lazyeye_campaign::{
-    expand, finish_from_checkpoint, merge_checkpoints, run_campaign, run_campaign_resumable,
-    run_shard, CampaignSpec, Checkpoint, NetemSpec, RdPlan, Shard,
+    expand, finish_from_checkpoint, merge, run_campaign, run_campaign_resumable, CampaignSpec,
+    Checkpoint, NetemSpec, RdPlan, Shard,
 };
 use lazyeye_testbed::{switchover_bracket, CadCaseConfig, DelayedRecord, SweepSpec};
 
@@ -83,13 +83,13 @@ fn resume_after_kill_reproduces_the_report_byte_for_byte() {
         &BTreeMap::new(),
         |_, _| {},
         |run, out| {
-            if ckpt.completed_runs() < kill_after {
+            if ckpt.completed_count() < kill_after {
                 ckpt.record(run.index, out.clone());
             }
         },
     )
     .unwrap();
-    assert_eq!(ckpt.completed_runs(), kill_after);
+    assert_eq!(ckpt.completed_count(), kill_after);
 
     // The checkpoint survives a disk round-trip, then finishes the
     // campaign: the report must not differ in a single byte.
@@ -134,34 +134,34 @@ fn shard_and_merge_reproduces_the_report_byte_for_byte() {
     let partials: Vec<Checkpoint> = (0..3)
         .map(|i| {
             let shard = Shard { index: i, count: 3 };
-            let part = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
-            assert!(part.missing_pass1().is_empty(), "shard {i} completed");
+            let part = Checkpoint::run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
+            assert!(part.missing().is_empty(), "shard {i} completed");
             Checkpoint::from_json_str(&part.to_json_string()).unwrap()
         })
         .collect();
 
-    let merged = merge_checkpoints(partials).unwrap();
-    assert!(merged.missing_pass1().is_empty(), "shards cover pass 1");
+    let merged = merge(partials).unwrap();
+    assert!(merged.missing().is_empty(), "shards cover pass 1");
     let report = finish_from_checkpoint(&merged, 4, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), single.to_json());
     assert_eq!(report.to_csv(), single.to_csv());
 }
 
 #[test]
-fn shard_resume_skips_its_own_completed_runs() {
+fn shard_resume_skips_its_own_completed_count() {
     let spec = coarse_spec(19);
     let shard = Shard { index: 0, count: 2 };
-    let full = run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
+    let full = Checkpoint::run_shard(&spec, 2, shard, None, |_, _| {}, |_| {}).unwrap();
 
     // A half-finished shard checkpoint (even completed indices dropped).
-    let mut partial = Checkpoint::new(spec.clone(), full.pass1_runs, Some(shard));
+    let mut partial = Checkpoint::new(spec.clone(), full.planned, Some(shard));
     for (i, (&index, out)) in full.completed().iter().enumerate() {
         if i % 2 == 0 {
             partial.record(index, out.clone());
         }
     }
     let mut executed = 0;
-    let resumed = run_shard(
+    let resumed = Checkpoint::run_shard(
         &spec,
         2,
         shard,
@@ -170,10 +170,10 @@ fn shard_resume_skips_its_own_completed_runs() {
         |_| {},
     )
     .unwrap();
-    assert_eq!(resumed.completed_runs(), full.completed_runs());
+    assert_eq!(resumed.completed_count(), full.completed_count());
     assert_eq!(
         executed as u64,
-        full.completed_runs() - full.completed_runs().div_ceil(2),
+        full.completed_count() - full.completed_count().div_ceil(2),
         "only the missing half re-executed"
     );
     assert_eq!(resumed.to_json_string(), full.to_json_string());
@@ -185,7 +185,7 @@ fn merge_of_incomplete_partials_backfills_deterministically() {
     // gap locally and the canonical report still comes out.
     let spec = coarse_spec(23);
     let single = run_campaign(&spec, 1, |_, _| {}).unwrap();
-    let part0 = run_shard(
+    let part0 = Checkpoint::run_shard(
         &spec,
         2,
         Shard { index: 0, count: 2 },
@@ -194,8 +194,8 @@ fn merge_of_incomplete_partials_backfills_deterministically() {
         |_| {},
     )
     .unwrap();
-    let merged = merge_checkpoints([part0]).unwrap();
-    assert!(!merged.missing_pass1().is_empty());
+    let merged = merge([part0]).unwrap();
+    assert!(!merged.missing().is_empty());
     let report = finish_from_checkpoint(&merged, 2, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), single.to_json());
 }

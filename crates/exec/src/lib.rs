@@ -15,9 +15,13 @@
 //!   scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
+//! - The run kernel ([`Matrix`], [`Partial`], [`merge`],
+//!   [`execute_missing`], [`check_stitched`]) — one resumable, shardable
+//!   sweep state, its validation on load, its stitch and its shard
+//!   runner, shared by both engines.
 //!
-//! The engines keep their domain glue (run specs, checkpoints, reports);
-//! only the scheduling-neutral machinery lives here.
+//! The engines keep their domain glue (plans, run context, output codec,
+//! reports); everything scheduling- and resumption-related lives here.
 
 //! **Arena reuse.** Worker threads live for the whole `execute_indexed`
 //! call, and the simulator keeps a per-thread `lazyeye_sim::SimPool`:
@@ -30,6 +34,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod partial;
+
+pub use partial::{check_stitched, execute_missing, merge, Matrix, Partial};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

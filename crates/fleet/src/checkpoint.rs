@@ -1,192 +1,85 @@
-//! Fleet shard state: the spec identity plus every completed session's
-//! reduced output — the fleet's analogue of the campaign checkpoint,
-//! powering `--shard i/n` + `--merge` multi-machine runs.
+//! Fleet shard state: the fleet as a run-kernel [`Matrix`], powering
+//! `--shard i/n` + `--merge` multi-machine runs through the kernel's one
+//! partial format ([`FleetCheckpoint`], `total_sessions` on disk).
 //!
 //! A partial is small by construction: a session output is a few dozen
 //! bytes (per-tier family characters), so shipping shard partials
 //! between machines costs kilobytes even for large populations.
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
+use lazyeye_exec::{Matrix, Partial};
+use lazyeye_json::{Json, JsonError};
 
-use lazyeye_exec::Shard;
-use lazyeye_json::{FromJson, Json, JsonError, ToJson};
-
-use crate::session::{output_from_json, output_to_json, SessionOutput};
+use crate::plan::{expand, FleetPlan, SessionKind, SessionSpec};
+use crate::session::{
+    output_from_json, output_to_json, run_session, SessionContext, SessionOutput,
+};
 use crate::spec::FleetSpec;
 
-/// Checkpoint format version; bumped on incompatible layout changes.
-const VERSION: u64 = 1;
+/// The fleet as a resumable, shardable sweep of sessions.
+#[derive(Clone, Copy, Debug)]
+pub struct FleetMatrix;
 
 /// Serialisable fleet progress: spec identity + completed session
 /// outputs.
-#[derive(Clone, Debug)]
-pub struct FleetCheckpoint {
-    /// The fleet this state belongs to.
-    pub spec: FleetSpec,
-    /// Size of the session plan (shape sanity check on merge).
-    pub total_sessions: u64,
-    /// The shard restriction this state was produced under, if any.
-    pub shard: Option<Shard>,
-    outputs: BTreeMap<u64, SessionOutput>,
-}
+pub type FleetCheckpoint = Partial<FleetMatrix>;
 
-impl FleetCheckpoint {
-    /// Fresh state for a fleet whose plan expands to `total_sessions`.
-    pub fn new(spec: FleetSpec, total_sessions: u64, shard: Option<Shard>) -> FleetCheckpoint {
-        FleetCheckpoint {
-            spec,
-            total_sessions,
-            shard,
-            outputs: BTreeMap::new(),
-        }
+impl Matrix for FleetMatrix {
+    type Spec = FleetSpec;
+    type Plan = FleetPlan;
+    type Item = SessionSpec;
+    type Output = SessionOutput;
+    type Context<'a> = SessionContext<'a>;
+    type Error = String;
+    const COUNT_KEY: &'static str = "total_sessions";
+    const ITEM: &'static str = "session";
+
+    fn plan(spec: &FleetSpec) -> Result<FleetPlan, String> {
+        expand(spec)
     }
 
-    /// Records one completed session.
-    pub fn record(&mut self, index: u64, output: SessionOutput) {
-        self.outputs.insert(index, output);
+    fn items(plan: &FleetPlan) -> &[SessionSpec] {
+        &plan.sessions
     }
 
-    /// The completed-session map, keyed by session index.
-    pub fn completed(&self) -> &BTreeMap<u64, SessionOutput> {
-        &self.outputs
+    fn context<'a>(spec: &'a FleetSpec, plan: &'a FleetPlan) -> Result<SessionContext<'a>, String> {
+        Ok(SessionContext::new(spec, &plan.members))
     }
 
-    /// Number of completed sessions recorded.
-    pub fn completed_sessions(&self) -> u64 {
-        self.outputs.len() as u64
+    fn run(ctx: &SessionContext<'_>, session: &SessionSpec) -> SessionOutput {
+        run_session(ctx, session)
     }
 
-    /// Session indices not yet completed, honouring the shard restriction
-    /// when set.
-    pub fn missing(&self) -> Vec<u64> {
-        (0..self.total_sessions)
-            .filter(|i| self.shard.is_none_or(|s| s.owns(*i)))
-            .filter(|i| !self.outputs.contains_key(i))
-            .collect()
+    fn index(session: &SessionSpec) -> u64 {
+        session.index
     }
 
-    /// Checks the stored plan shape against the current expansion of the
-    /// checkpoint's spec — a mismatch means the expansion rules changed
-    /// since the partial was written, and stitching index-keyed outputs
-    /// onto a reindexed plan would silently corrupt the report.
-    pub fn validate_shape(&self, total_sessions: u64) -> Result<(), String> {
-        if self.total_sessions != total_sessions {
-            return Err(format!(
-                "partial was written for a {}-session plan but the spec now expands to {} \
-                 sessions (expansion rules changed since it was saved); re-run the fleet \
-                 instead of merging",
-                self.total_sessions, total_sessions
-            ));
-        }
-        Ok(())
+    fn matches(session: &SessionSpec, output: &SessionOutput) -> bool {
+        matches!(
+            (&session.kind, output),
+            (
+                SessionKind::Cad { .. } | SessionKind::Rd { .. } | SessionKind::RdA { .. },
+                SessionOutput::Web(_)
+            ) | (
+                SessionKind::ResolverCheck { .. },
+                SessionOutput::Resolver(_)
+            )
+        )
     }
 
-    /// Serialises the state to pretty JSON.
-    pub fn to_json_string(&self) -> String {
-        let outputs: Vec<Json> = self
-            .outputs
-            .iter()
-            .map(|(index, output)| {
-                let mut pairs = vec![("index".to_string(), index.to_json())];
-                let Json::Obj(body) = output_to_json(output) else {
-                    unreachable!("outputs serialise to objects");
-                };
-                pairs.extend(body);
-                Json::Obj(pairs)
-            })
-            .collect();
-        let mut text = Json::obj(vec![
-            ("version", VERSION.to_json()),
-            ("spec", ToJson::to_json(&self.spec)),
-            ("total_sessions", self.total_sessions.to_json()),
-            ("shard", self.shard.as_ref().map(ToJson::to_json).to_json()),
-            ("outputs", Json::Arr(outputs)),
-        ])
-        .to_string_pretty();
-        text.push('\n');
-        text
+    fn output_to_json(output: &SessionOutput) -> Json {
+        output_to_json(output)
     }
 
-    /// Parses a partial back from JSON.
-    pub fn from_json_str(s: &str) -> Result<FleetCheckpoint, JsonError> {
-        let v = Json::parse(s)?;
-        let version = u64::from_json(&v["version"])?;
-        if version != VERSION {
-            return Err(JsonError::new(format!(
-                "fleet partial version {version} not supported (expected {VERSION})"
-            )));
-        }
-        let spec = <FleetSpec as FromJson>::from_json(&v["spec"])?;
-        let total_sessions = u64::from_json(&v["total_sessions"])?;
-        let shard = Option::<Shard>::from_json(&v["shard"])?;
-        let mut outputs = BTreeMap::new();
-        for entry in v["outputs"]
-            .as_array()
-            .ok_or_else(|| JsonError::new("fleet partial outputs: expected array"))?
-        {
-            let index = u64::from_json(&entry["index"])?;
-            outputs.insert(index, output_from_json(entry)?);
-        }
-        Ok(FleetCheckpoint {
-            spec,
-            total_sessions,
-            shard,
-            outputs,
-        })
+    fn output_from_json(v: &Json) -> Result<SessionOutput, JsonError> {
+        output_from_json(v)
     }
-
-    /// Writes the state to `path` atomically (temp file + rename).
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json_string().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Loads a partial from `path`.
-    pub fn load(path: &str) -> Result<FleetCheckpoint, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        FleetCheckpoint::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Folds disjoint shard partials of the *same* fleet into one state. The
-/// partials must agree on spec and plan shape; the result carries no
-/// shard restriction.
-pub fn merge_partials(
-    parts: impl IntoIterator<Item = FleetCheckpoint>,
-) -> Result<FleetCheckpoint, String> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Err("merge needs at least one partial".to_string());
-    };
-    let mut merged = FleetCheckpoint {
-        shard: None,
-        ..first
-    };
-    for part in parts {
-        if part.spec != merged.spec {
-            return Err("merge: partials come from different fleet specs".to_string());
-        }
-        if part.total_sessions != merged.total_sessions {
-            return Err(format!(
-                "merge: partials disagree on session count ({} vs {})",
-                part.total_sessions, merged.total_sessions
-            ));
-        }
-        merged.outputs.extend(part.outputs);
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::ResolverCheckOutput;
+    use lazyeye_exec::{merge, Shard};
     use lazyeye_net::Family;
     use lazyeye_webtool::{TierObservation, WebSessionResult};
 
@@ -224,7 +117,7 @@ mod tests {
         let back = FleetCheckpoint::from_json_str(&text).unwrap();
         assert_eq!(back.spec, ckpt.spec);
         assert_eq!(back.shard, Some(Shard { index: 1, count: 2 }));
-        assert_eq!(back.completed_sessions(), 2);
+        assert_eq!(back.completed_count(), 2);
         assert_eq!(back.to_json_string(), text);
     }
 
@@ -240,15 +133,15 @@ mod tests {
                 b.record(index, output);
             }
         }
-        let merged = merge_partials([a.clone(), b]).unwrap();
-        assert_eq!(merged.completed_sessions(), 2);
+        let merged = merge([a.clone(), b]).unwrap();
+        assert_eq!(merged.completed_count(), 2);
         assert_eq!(merged.shard, None);
         assert_eq!(merged.missing().len(), 8);
 
         let mut other = spec.clone();
         other.seed = 999;
-        assert!(merge_partials([a.clone(), FleetCheckpoint::new(other, 10, None)]).is_err());
-        assert!(merge_partials([a.clone(), FleetCheckpoint::new(spec, 11, None)]).is_err());
+        assert!(merge([a.clone(), FleetCheckpoint::new(other, 10, None)]).is_err());
+        assert!(merge([a.clone(), FleetCheckpoint::new(spec, 11, None)]).is_err());
         assert!(a.validate_shape(11).is_err());
     }
 

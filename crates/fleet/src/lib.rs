@@ -22,8 +22,9 @@
 //! 5. **[`report`]** — per-member inference (`lazyeye-infer` changepoint
 //!    over the tier grid), RFC 8305 verdicts, agreement against the
 //!    known profile, resolver-check roll-up, JSON/CSV/text emitters.
-//! 6. **[`checkpoint`]** — `--shard i/n` partials and `--merge`, the
-//!    multi-machine story.
+//! 6. **[`checkpoint`]** — the fleet as a run-kernel matrix
+//!    ([`lazyeye_exec::Matrix`]): `--shard i/n` partials and `--merge`,
+//!    the multi-machine story.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(FleetSpec, seed)`. `--jobs 1`, `--jobs 8` and any shard/merge split
@@ -45,53 +46,45 @@ pub mod spec;
 
 use std::collections::BTreeMap;
 
-pub use checkpoint::{merge_partials, FleetCheckpoint};
+pub use checkpoint::{FleetCheckpoint, FleetMatrix};
 pub use collect::{CaseAggregate, Collector, TierCell};
 pub use diff::{diff_fleet_reports, diff_report_strs, FleetDiff};
 pub use known::{check_agreement, expected_profile, known_verdicts, KnownAgreement};
-pub use lazyeye_exec::Shard;
+pub use lazyeye_exec::{merge, Shard};
 pub use plan::{derive_session_seed, expand, FleetPlan, SessionKind, SessionSpec};
 pub use profile::{profile_fleet, profile_fleet_plan, FleetBudget, MemberBudgetRow};
 pub use report::{build_report, FleetReport, FleetSummary, MemberReport, ResolverCheckReport};
 pub use session::{run_session, SessionContext, SessionOutput};
 pub use spec::{client_key, resolve_members, FleetCondition, FleetSpec, Member};
 
-/// Executes every session of `plan` not already present in `completed`,
-/// fanning out over `jobs` workers, and returns all outputs **in
-/// session-index order** (stored ones stitched back in place).
+/// Executes every session of `spec`'s plan not already present in
+/// `completed`, fanning out over `jobs` workers, and returns the plan
+/// with all outputs **in session-index order** (stored ones stitched back
+/// in place, after a kind check).
 ///
 /// `on_result` fires on the calling thread for each newly executed
-/// session (completion order is scheduling-dependent) — wire shard
-/// partial saves here.
-pub fn run_sessions(
+/// session (completion order is scheduling-dependent).
+pub fn run_fleet_resumable(
     spec: &FleetSpec,
-    plan: &FleetPlan,
     completed: &BTreeMap<u64, SessionOutput>,
     jobs: usize,
     progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&SessionSpec, &SessionOutput),
-) -> Vec<SessionOutput> {
-    let ctx = SessionContext::new(spec, &plan.members);
-    let pending: Vec<&SessionSpec> = plan
-        .sessions
-        .iter()
-        .filter(|s| !completed.contains_key(&s.index))
-        .collect();
-    let fresh = lazyeye_exec::execute_indexed_with(
-        pending.len(),
-        jobs,
-        |position| run_session(&ctx, pending[position]),
-        progress,
-        |position, out| on_result(pending[position], out),
-    );
-    let mut fresh = fresh.into_iter();
-    plan.sessions
-        .iter()
-        .map(|s| match completed.get(&s.index) {
-            Some(stored) => stored.clone(),
-            None => fresh.next().expect("one fresh output per pending session"),
-        })
-        .collect()
+    on_result: impl FnMut(&SessionSpec, &SessionOutput),
+) -> Result<(FleetPlan, Vec<SessionOutput>), String> {
+    let plan = expand(spec)?;
+    let outputs = {
+        let ctx = SessionContext::new(spec, &plan.members);
+        lazyeye_exec::execute_missing::<FleetMatrix>(
+            &plan.sessions,
+            completed,
+            jobs,
+            |session| run_session(&ctx, session),
+            progress,
+            on_result,
+        )?
+    };
+    lazyeye_exec::check_stitched::<FleetMatrix>(completed, plan.sessions.len())?;
+    Ok((plan, outputs))
 }
 
 /// Expands, executes and aggregates a fleet in one call.
@@ -100,44 +93,8 @@ pub fn run_fleet(
     jobs: usize,
     progress: impl FnMut(usize, usize),
 ) -> Result<FleetReport, String> {
-    let plan = expand(spec)?;
-    let outputs = run_sessions(spec, &plan, &BTreeMap::new(), jobs, progress, |_, _| {});
+    let (plan, outputs) = run_fleet_resumable(spec, &BTreeMap::new(), jobs, progress, |_, _| {})?;
     Ok(build_report(spec, &plan, &outputs))
-}
-
-/// Executes one shard of the fleet — sessions with `index % n == i` —
-/// and returns the partial state for [`merge_partials`]. `on_result`
-/// receives the partial after every completed session (wire periodic
-/// saves here).
-pub fn run_fleet_shard(
-    spec: &FleetSpec,
-    jobs: usize,
-    shard: Shard,
-    progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&FleetCheckpoint),
-) -> Result<FleetCheckpoint, String> {
-    let plan = expand(spec)?;
-    let mut ckpt = FleetCheckpoint::new(spec.clone(), plan.sessions.len() as u64, Some(shard));
-    let ctx = SessionContext::new(spec, &plan.members);
-    let owned: Vec<&SessionSpec> = plan
-        .sessions
-        .iter()
-        .filter(|s| shard.owns(s.index))
-        .collect();
-    // Record inside the executor hook (completion order; the BTreeMap
-    // keying restores determinism), so a kill mid-shard loses at most the
-    // sessions since the caller's last save.
-    let _ = lazyeye_exec::execute_indexed_with(
-        owned.len(),
-        jobs,
-        |position| run_session(&ctx, owned[position]),
-        progress,
-        |position, out| {
-            ckpt.record(owned[position].index, out.clone());
-            on_result(&ckpt);
-        },
-    );
-    Ok(ckpt)
 }
 
 /// Finishes a fleet from merged shard state: executes whatever the
@@ -148,16 +105,9 @@ pub fn finish_from_partial(
     jobs: usize,
     progress: impl FnMut(usize, usize),
 ) -> Result<FleetReport, String> {
-    let plan = expand(&ckpt.spec)?;
-    ckpt.validate_shape(plan.sessions.len() as u64)?;
-    let outputs = run_sessions(
-        &ckpt.spec,
-        &plan,
-        ckpt.completed(),
-        jobs,
-        progress,
-        |_, _| {},
-    );
+    ckpt.validate()?;
+    let (plan, outputs) =
+        run_fleet_resumable(&ckpt.spec, ckpt.completed(), jobs, progress, |_, _| {})?;
     Ok(build_report(&ckpt.spec, &plan, &outputs))
 }
 
@@ -223,13 +173,27 @@ mod tests {
     fn shard_merge_matches_single_process() {
         let spec = tiny_spec();
         let whole = run_fleet(&spec, 2, |_, _| {}).unwrap();
-        let s0 =
-            run_fleet_shard(&spec, 2, Shard { index: 0, count: 2 }, |_, _| {}, |_| {}).unwrap();
-        let s1 =
-            run_fleet_shard(&spec, 2, Shard { index: 1, count: 2 }, |_, _| {}, |_| {}).unwrap();
+        let s0 = FleetCheckpoint::run_shard(
+            &spec,
+            2,
+            Shard { index: 0, count: 2 },
+            None,
+            |_, _| {},
+            |_| {},
+        )
+        .unwrap();
+        let s1 = FleetCheckpoint::run_shard(
+            &spec,
+            2,
+            Shard { index: 1, count: 2 },
+            None,
+            |_, _| {},
+            |_| {},
+        )
+        .unwrap();
         // Partials survive a JSON round trip (the multi-machine path).
         let s0 = FleetCheckpoint::from_json_str(&s0.to_json_string()).unwrap();
-        let merged = merge_partials([s0, s1]).unwrap();
+        let merged = merge([s0, s1]).unwrap();
         assert!(merged.missing().is_empty(), "shards cover the plan");
         let report = finish_from_partial(&merged, 2, |_, _| {}).unwrap();
         assert_eq!(report.to_json(), whole.to_json());

@@ -3,9 +3,7 @@
 //! brackets for fixed-CAD clients, and the bracket-not-point contract
 //! for dynamic-CAD (Safari) population members.
 
-use lazyeye_fleet::{
-    merge_partials, run_fleet, run_fleet_shard, FleetCheckpoint, FleetCondition, FleetSpec, Shard,
-};
+use lazyeye_fleet::{merge, run_fleet, FleetCheckpoint, FleetCondition, FleetSpec, Shard};
 
 /// A mixed population: one Chromium (300 ms), one Firefox (250 ms), one
 /// desktop Safari (dynamic) under both default conditions.
@@ -36,12 +34,20 @@ fn reports_are_byte_identical_across_jobs_and_shard_merge() {
 
     let mut parts = Vec::new();
     for index in 0..3 {
-        let part = run_fleet_shard(&spec, 2, Shard { index, count: 3 }, |_, _| {}, |_| {}).unwrap();
+        let part = FleetCheckpoint::run_shard(
+            &spec,
+            2,
+            Shard { index, count: 3 },
+            None,
+            |_, _| {},
+            |_| {},
+        )
+        .unwrap();
         // Round-trip through the on-disk form, as a real multi-machine
         // split would.
         parts.push(FleetCheckpoint::from_json_str(&part.to_json_string()).unwrap());
     }
-    let merged = merge_partials(parts).unwrap();
+    let merged = merge(parts).unwrap();
     assert!(merged.missing().is_empty());
     let report = lazyeye_fleet::finish_from_partial(&merged, 4, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), j1.to_json());

@@ -118,65 +118,6 @@ fn metrics() -> &'static SimMetrics {
 /// task spawns) are recorded on a sampled run's virtual track.
 const RUN_TRACE_EVENT_CAP: u32 = 512;
 
-/// Process-wide scheduler counters, aggregated across every [`Sim`] as it
-/// is reset or dropped. The poll/timer/task counters are deterministic
-/// for a fixed workload (whatever the worker count), which is what lets
-/// CI pin them in `BENCH.json`.
-///
-/// This is a compatibility view over the `lazyeye-obs` registry (metric
-/// names `sim.polls`, `sim.timers_fired`, ...); new code should read the
-/// registry directly.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// `Future::poll` calls.
-    pub polls: u64,
-    /// Timers popped from the wheel.
-    pub timers_fired: u64,
-    /// Timers armed (wheel inserts).
-    pub timers_armed: u64,
-    /// Tasks spawned.
-    pub tasks_spawned: u64,
-    /// Fresh slab slots allocated (each costs one waker + slot alloc).
-    pub slots_allocated: u64,
-    /// Slab slots recycled through the free list (alloc-free spawns).
-    pub slots_reused: u64,
-    /// Simulations created from scratch.
-    pub sims_created: u64,
-    /// Simulations reused via [`Sim::reset`] / [`SimPool`].
-    pub sims_reset: u64,
-}
-
-/// Snapshot of the process-wide scheduler counters. Per-`Sim` tallies are
-/// flushed on [`Sim::reset`] and on drop, so read this after the
-/// workload's sims are done (or pooled).
-pub fn sim_stats() -> SimStats {
-    let m = metrics();
-    SimStats {
-        polls: m.polls.get(),
-        timers_fired: m.timers_fired.get(),
-        timers_armed: m.timers_armed.get(),
-        tasks_spawned: m.tasks_spawned.get(),
-        slots_allocated: m.slots_allocated.get(),
-        slots_reused: m.slots_reused.get(),
-        sims_created: m.sims_created.get(),
-        sims_reset: m.sims_reset.get(),
-    }
-}
-
-/// Zeroes the scheduler counters in the registry (bench harness setup).
-pub fn reset_sim_stats() {
-    let m = metrics();
-    m.polls.reset();
-    m.timers_fired.reset();
-    m.timers_armed.reset();
-    m.tasks_spawned.reset();
-    m.slots_allocated.reset();
-    m.slots_reused.reset();
-    m.sims_created.reset();
-    m.sims_reset.reset();
-    m.run_virtual_us.reset();
-}
-
 // ---------------------------------------------------------------------------
 // Waker-reachable side: the wake queue
 // ---------------------------------------------------------------------------
@@ -390,7 +331,7 @@ pub(crate) struct ExecCore {
     current_task: Option<TaskId>,
     pub(crate) rng: SmallRng,
     /// Counters exposed for benchmarking and diagnostics (flushed to the
-    /// process-wide [`sim_stats`] on reset/drop).
+    /// process-wide `sim.*` registry counters on reset/drop).
     polls: u64,
     timers_fired: u64,
     timers_armed: u64,
@@ -566,7 +507,7 @@ impl Sim {
     /// reseeded with `seed`, no tasks, no timers — while keeping every
     /// allocation (task slab, wheel slots, queues) for the next run. A
     /// reset `Sim` is observably indistinguishable from `Sim::new(seed)`;
-    /// the per-sim counters flush into [`sim_stats`] first.
+    /// the per-sim counters flush into the `sim.*` registry counters first.
     ///
     /// Live tasks are cancelled by dropping their futures (inside the sim
     /// context, so graceful-close drop paths still work); anything those
@@ -1403,20 +1344,21 @@ mod tests {
         // binary create/drop sims concurrently, so every assertion is a
         // monotonic lower bound on *this* sim's contribution — exact
         // equality would flake under parallel test scheduling.
-        let before = sim_stats();
+        let m = metrics();
+        let (polls, timers_fired) = (m.polls.get(), m.timers_fired.get());
+        let (sims_reset, sims_created) = (m.sims_reset.get(), m.sims_created.get());
         let mut sim = Sim::new(3);
         sim.block_on(async {
             sleep(Duration::from_millis(1)).await;
         });
         sim.reset(3);
-        let after_reset = sim_stats();
         assert!(
-            after_reset.polls >= before.polls + 2,
+            m.polls.get() >= polls + 2,
             "reset must flush this sim's polls"
         );
-        assert!(after_reset.timers_fired > before.timers_fired);
-        assert!(after_reset.sims_reset > before.sims_reset);
+        assert!(m.timers_fired.get() > timers_fired);
+        assert!(m.sims_reset.get() > sims_reset);
         drop(sim);
-        assert!(sim_stats().sims_created > before.sims_created);
+        assert!(m.sims_created.get() > sims_created);
     }
 }

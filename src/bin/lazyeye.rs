@@ -21,26 +21,29 @@
 //! lazyeye campaign --merge part0.json part1.json part2.json part3.json
 //! lazyeye campaign --default --timeline t.json --metrics-out m.prom --progress
 //! lazyeye campaign --default --classify --flamegraph flame.collapsed
+//! lazyeye fleet --merge part0.json --merge part1.json --flamegraph f.collapsed
 //! lazyeye profile traces.json --flamegraph flame.collapsed
 //! ```
+//!
+//! Campaigns and fleets run through one driver ([`drive`]) over the
+//! shared run kernel (`lazyeye_exec::Partial`): shard, merge, resume,
+//! periodic saves, partial and report emission exist once for both.
 //!
 //! Unknown flags are hard errors — a typo must never silently run a
 //! different measurement than asked for.
 
 use std::collections::HashMap;
+use std::io::IsTerminal as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use lazy_eye_inspection::campaign::{
-    build_report_with, diff_reports, expand, finish_from_checkpoint_with, fold_row,
-    merge_checkpoints, profile_runs, run_campaign_resumable, run_campaign_resumable_with,
-    run_shard, CampaignReport, CampaignSpec, Checkpoint, InferredClientReport, LatencyBudget,
-    RunOutput, RunSpec, Shard,
+    build_report_with, diff_reports, fold_row, profile_runs, run_campaign_resumable,
+    run_campaign_resumable_with, CampaignMatrix, CampaignReport, CampaignSpec, Checkpoint,
+    InferredClientReport, LatencyBudget, RunOutput, RunSpec,
 };
 use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
-use lazy_eye_inspection::fleet::{
-    self, merge_partials, run_fleet, run_fleet_shard, FleetCheckpoint, FleetSpec,
-};
+use lazy_eye_inspection::exec::{merge, Matrix, Partial, Shard};
+use lazy_eye_inspection::fleet::{self, FleetCheckpoint, FleetMatrix, FleetReport, FleetSpec};
 use lazy_eye_inspection::infer::{
     diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, score_profile, InferredProfile,
     InferredResolverReport,
@@ -171,6 +174,15 @@ enum Format {
     Csv,
 }
 
+/// `--format` for the commands that print text or JSON only.
+fn parse_text_json(flags: &Flags) -> Result<Format, String> {
+    match flags.get("--format") {
+        None | Some("text") => Ok(Format::Text),
+        Some("json") => Ok(Format::Json),
+        Some(other) => Err(format!("flag --format: expected text|json, got {other:?}")),
+    }
+}
+
 fn parse_format(flags: &Flags) -> Result<Format, String> {
     match flags.get("--format") {
         None | Some("text") => Ok(Format::Text),
@@ -232,7 +244,8 @@ fn usage() -> ExitCode {
            --timeline <trace.json>     Chrome trace-event / Perfetto timeline\n\
            --metrics-out <m.prom>      Prometheus text exposition of all metrics\n\
            --flight-record <dir>       write anomaly black-box bundles (campaign/fleet)\n\
-           --progress                  live status line (rate, ETA, idle %, slowest)\n\
+           --progress                  live status line (rate, ETA, idle %, slowest);\n\
+                                       on by default when stderr is a terminal\n\
            --flamegraph <file>         collapsed-stack latency flame graph plus a\n\
                                        per-cell budget table (campaign/fleet/profile)"
     );
@@ -243,6 +256,10 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("lazyeye: {msg}");
     ExitCode::FAILURE
 }
+
+/// What a subcommand returns: its exit code, or the message of an error
+/// that ends it with exit 1.
+type Cmd = Result<ExitCode, String>;
 
 fn fmt_share(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.1} %")).unwrap_or_else(|| "-".into())
@@ -349,21 +366,12 @@ fn extract_profiles(v: &Json) -> Result<Vec<InferredProfile>, String> {
 
 /// `infer --diff old.json new.json`: field-level behaviour deltas
 /// between two sets of inferred profiles, matched by subject.
-fn cmd_infer_diff(paths: &[String], format: Format) -> ExitCode {
+fn cmd_infer_diff(paths: &[String], format: Format) -> Cmd {
     let mut sets = Vec::new();
     for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        let v = match Json::parse(&text) {
-            Ok(v) => v,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
-        match extract_profiles(&v) {
-            Ok(profiles) => sets.push(profiles),
-            Err(e) => return fail(&format!("{path}: {e}")),
-        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let v = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        sets.push(extract_profiles(&v).map_err(|e| format!("{path}: {e}"))?);
     }
     let (old, new) = (&sets[0], &sets[1]);
     let mut added: Vec<String> = Vec::new();
@@ -412,7 +420,7 @@ fn cmd_infer_diff(paths: &[String], format: Format) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses `--jobs` (default: available parallelism), rejecting 0.
@@ -438,39 +446,25 @@ fn load_spec(flags: &Flags, path: &str) -> Result<CampaignSpec, String> {
     Ok(spec)
 }
 
-fn cmd_infer(flags: Flags) -> ExitCode {
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
-    };
-    let obs = match Obs::start(&flags, jobs, "runs") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_infer_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
+/// Runs an orchestrating subcommand inside an observability session
+/// (`--timeline`, `--metrics-out`, `--flight-record`, `--progress`). The
+/// session's files are written even when the subcommand fails.
+fn with_obs(flags: &Flags, unit: &'static str, dispatch: fn(&Flags, usize) -> Cmd) -> Cmd {
+    let jobs = parse_jobs(flags)?;
+    let obs = Obs::start(flags, jobs, unit)?;
+    let code = dispatch(flags, jobs).unwrap_or_else(|e| fail(&e));
+    obs.finish()?;
+    Ok(code)
 }
 
-fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match flags.get("--format") {
-        None | Some("text") => Format::Text,
-        Some("json") => Format::Json,
-        Some(other) => return fail(&format!("flag --format: expected text|json, got {other:?}")),
-    };
+fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> Cmd {
+    let format = parse_text_json(flags)?;
     match (flags.get("--trace"), flags.get("--campaign")) {
-        (Some(_), Some(_)) => fail("--trace and --campaign are mutually exclusive"),
+        (Some(_), Some(_)) => Err("--trace and --campaign are mutually exclusive".into()),
         (Some(path), None) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
-            };
-            let set = match TraceSet::from_json_str(&text) {
-                Ok(s) => s,
-                Err(e) => return fail(&format!("{path}: {e}")),
-            };
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let set = TraceSet::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
             let resolvers = infer_resolver_traces(&set);
             let resolver_subjects: std::collections::BTreeSet<&str> = resolvers
                 .iter()
@@ -500,33 +494,27 @@ fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
                     print!("{}", render_inferred_resolvers(&resolvers));
                 }
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         (None, Some(path)) => {
-            let spec = match load_spec(flags, path) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            let outcome = run_campaign_resumable(
+            let spec = load_spec(flags, path)?;
+            let (runs, outputs) = run_campaign_resumable(
                 &spec,
                 jobs,
                 &std::collections::BTreeMap::new(),
-                progress_meter("campaign", "runs"),
+                track_total,
                 |_, _| {},
-            );
-            let (runs, outputs) = match outcome {
-                Ok(pair) => pair,
-                Err(e) => return fail(&format!("campaign failed: {e}")),
-            };
+            )
+            .map_err(|e| format!("campaign failed: {e}"))?;
             let report = build_report_with(&spec, &runs, &outputs, true);
             let section = report.inference.expect("classify builds the section");
             match format {
                 Format::Json => print!("{}", section.to_json()),
                 _ => print!("{}", section.render_text()),
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        (None, None) => fail("infer needs --trace <traces.json> or --campaign <spec.json>"),
+        (None, None) => Err("infer needs --trace <traces.json> or --campaign <spec.json>".into()),
     }
 }
 
@@ -563,7 +551,10 @@ impl Obs {
             }
             None => false,
         };
-        let reporter = flags.contains("--progress").then(|| {
+        // The status line is on under `--progress`, and by default
+        // whenever stderr is a terminal: redirected runs stay quiet.
+        let progress = flags.contains("--progress") || std::io::stderr().is_terminal();
+        let reporter = progress.then(|| {
             lazy_eye_inspection::obs::progress::begin(0, jobs as u64);
             let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
             let seen = std::sync::Arc::clone(&stop);
@@ -620,114 +611,237 @@ impl Obs {
     }
 }
 
-/// Progress + ETA to stderr (never into the report: the report must be
-/// byte-identical across --jobs, wall clock included). `label`/`unit`
-/// name the engine and its work item (`campaign`/`runs`,
-/// `fleet`/`sessions`).
-fn progress_meter(label: &'static str, unit: &'static str) -> impl FnMut(usize, usize) {
-    let started = Instant::now();
-    let mut last_percent = 0;
-    let mut last_total = 0;
-    move |done: usize, total: usize| {
-        // Keep the `--progress` reporter's denominator current (the
-        // refinement pass grows it); a relaxed store, free when off.
-        lazy_eye_inspection::obs::progress::set_total(total as u64);
-        if total != last_total {
-            // The total grows when the refinement pass is planned; the
-            // percentage threshold must restart or pass 2 prints nothing.
-            last_total = total;
-            last_percent = 0;
-        }
-        let percent = done * 100 / total.max(1);
-        if percent > last_percent || done == total {
-            last_percent = percent;
-            let elapsed = started.elapsed().as_secs_f64();
-            let eta = if done > 0 {
-                elapsed / done as f64 * (total - done) as f64
-            } else {
-                0.0
-            };
-            eprint!(
-                "\r[{label}] {done}/{total} {unit} ({percent:3}%), {elapsed:.1}s elapsed, ETA {eta:.1}s   "
-            );
-            if done == total {
-                eprintln!();
-            }
-        }
-    }
+/// The engines' progress hook: keeps the status line's denominator
+/// current (the refinement pass grows the total). A relaxed store, free
+/// when the reporter is off.
+fn track_total(_done: usize, total: usize) {
+    lazy_eye_inspection::obs::progress::set_total(total as u64);
 }
 
-/// Saves a checkpoint, downgrading failure to a warning: losing a
-/// checkpoint must not kill the campaign producing it. `buf` is the
-/// reusable serialisation buffer.
-fn save_checkpoint(ckpt: &Checkpoint, path: &Option<String>, buf: &mut String) {
-    if let Some(path) = path {
-        if let Err(e) = ckpt.save_with_buf(path, buf) {
-            eprintln!("lazyeye: warning: cannot write checkpoint {path}: {e}");
-        }
-    }
-}
-
-/// A closure that saves the checkpoint every [`CHECKPOINT_EVERY`] calls —
-/// the shared cadence for both whole-campaign and shard runs. One
-/// serialisation buffer is reused across all saves.
-fn periodic_save(path: Option<String>) -> impl FnMut(&Checkpoint) {
-    let mut unsaved = 0u64;
-    let mut buf = String::new();
-    move |ckpt| {
-        unsaved += 1;
-        if unsaved >= CHECKPOINT_EVERY {
-            unsaved = 0;
-            save_checkpoint(ckpt, &path, &mut buf);
-        }
-    }
-}
-
-/// Accumulates completed runs into a checkpoint with the
-/// [`periodic_save`] cadence (plus a final [`Saver::flush`]).
+/// Saves a growing partial every [`CHECKPOINT_EVERY`] completed items and
+/// once more at the end; a no-op without a path. One serialisation
+/// buffer serves every save. A failed save only warns: losing a
+/// checkpoint must not kill the run producing it.
 struct Saver {
-    ckpt: Checkpoint,
     path: Option<String>,
     unsaved: u64,
     buf: String,
 }
 
 impl Saver {
-    fn new(ckpt: Checkpoint, path: Option<String>) -> Saver {
+    fn new(path: Option<String>) -> Saver {
         Saver {
-            ckpt,
             path,
             unsaved: 0,
             buf: String::new(),
         }
     }
 
-    fn record(&mut self, run: &RunSpec, output: &RunOutput) {
-        self.ckpt.record(run.index, output.clone());
+    fn tick<M: Matrix>(&mut self, part: &Partial<M>) {
         self.unsaved += 1;
         if self.unsaved >= CHECKPOINT_EVERY {
-            self.flush();
+            self.flush(part);
         }
     }
 
-    fn flush(&mut self) {
+    fn flush<M: Matrix>(&mut self, part: &Partial<M>) {
         self.unsaved = 0;
-        save_checkpoint(&self.ckpt, &self.path, &mut self.buf);
+        if let Some(path) = &self.path {
+            if let Err(e) = part.save(path, &mut self.buf) {
+                eprintln!("lazyeye: warning: cannot write checkpoint {path}: {e}");
+            }
+        }
     }
 }
 
-fn emit_report(report: &CampaignReport, format: Format, out: Option<&str>) -> Result<(), String> {
+/// The command-line options of one campaign or fleet run.
+struct RunOpts<'a> {
+    jobs: usize,
+    format: Format,
+    out: Option<&'a str>,
+    flamegraph: Option<&'a str>,
+    classify: bool,
+    fast_path: bool,
+}
+
+/// A report in the driver's three output formats.
+trait Render {
+    fn json_into(&self, out: &mut String);
+    fn csv_into(&self, out: &mut String);
+    fn text(&self) -> String;
+}
+
+impl Render for CampaignReport {
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
+    }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
+    }
+    fn text(&self) -> String {
+        self.render_text()
+    }
+}
+
+impl Render for FleetReport {
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
+    }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
+    }
+    fn text(&self) -> String {
+        self.render_text()
+    }
+}
+
+/// A latency-budget table (rendered) and its flame graph.
+type Profile = (String, FlameGraph);
+
+/// The CLI's side of an engine: the run kernel's [`Matrix`] plus what it
+/// takes to finish a run into a report.
+trait Engine: Matrix {
+    /// Subcommand name, also the tag of its stderr lines.
+    const NAME: &'static str;
+    /// Plural noun for one work item.
+    const UNIT: &'static str;
+    /// Flags `--merge` refuses: the spec comes from the partials.
+    const MERGE_CONFLICTS: &'static [&'static str];
+    /// The engine's report.
+    type Report: Render;
+
+    /// Runs whatever `part` lacks and builds the report, plus the latency
+    /// profile under `--flamegraph`. `on_result` sees every fresh item.
+    fn finish(
+        part: &Partial<Self>,
+        opts: &RunOpts,
+        on_result: impl FnMut(&Self::Item, &Self::Output),
+    ) -> Result<(Self::Report, Option<Profile>), String>;
+}
+
+impl Engine for CampaignMatrix {
+    const NAME: &'static str = "campaign";
+    const UNIT: &'static str = "runs";
+    const MERGE_CONFLICTS: &'static [&'static str] = &[
+        "--config",
+        "--default",
+        "--seed",
+        "--shard",
+        "--resume",
+        "--checkpoint",
+    ];
+    type Report = CampaignReport;
+
+    fn finish(
+        part: &Checkpoint,
+        opts: &RunOpts,
+        on_result: impl FnMut(&RunSpec, &RunOutput),
+    ) -> Result<(CampaignReport, Option<Profile>), String> {
+        let spec = &part.spec;
+        let (runs, outputs) = run_campaign_resumable_with(
+            spec,
+            opts.jobs,
+            opts.fast_path,
+            part.completed(),
+            track_total,
+            on_result,
+        )
+        .map_err(|e| e.to_string())?;
+        let report = build_report_with(spec, &runs, &outputs, opts.classify);
+        // Attribute the executed run list (first pass + refinement): a
+        // pure function of (spec, run list), byte-identical across --jobs.
+        let profile = opts.flamegraph.map(|_| {
+            let (budget, flame) = profile_runs(spec, &runs);
+            (budget.render_text(), flame)
+        });
+        Ok((report, profile))
+    }
+}
+
+impl Engine for FleetMatrix {
+    const NAME: &'static str = "fleet";
+    const UNIT: &'static str = "sessions";
+    const MERGE_CONFLICTS: &'static [&'static str] = &[
+        "--spec",
+        "--default",
+        "--seed",
+        "--sessions",
+        "--reps",
+        "--shard",
+    ];
+    type Report = FleetReport;
+
+    fn finish(
+        part: &FleetCheckpoint,
+        opts: &RunOpts,
+        on_result: impl FnMut(&fleet::SessionSpec, &fleet::SessionOutput),
+    ) -> Result<(FleetReport, Option<Profile>), String> {
+        let spec = &part.spec;
+        let (plan, outputs) =
+            fleet::run_fleet_resumable(spec, part.completed(), opts.jobs, track_total, on_result)?;
+        let report = fleet::build_report(spec, &plan, &outputs);
+        // Per-member probe attribution: a pure function of (spec, seed),
+        // byte-identical across --jobs like the report itself.
+        let profile = opts.flamegraph.map(|_| {
+            let (budget, flame) = fleet::profile_fleet_plan(spec, &plan);
+            (budget.render_text(), flame)
+        });
+        Ok((report, profile))
+    }
+}
+
+/// The one driver behind every campaign and fleet run. A sharded partial
+/// runs its shard's slice of the first pass and emits the partial. An
+/// unsharded one (fresh, resumed or merged) runs to completion and emits
+/// the report, plus the flame graph under `--flamegraph`. The growing
+/// partial is saved to `save` as it goes.
+fn drive<E: Engine>(part: Partial<E>, save: Option<String>, opts: &RunOpts) -> Cmd {
+    let mut saver = Saver::new(save);
+    if let Some(shard) = part.shard {
+        let spec = part.spec.clone();
+        let part = Partial::run_shard(&spec, opts.jobs, shard, Some(part), track_total, |part| {
+            saver.tick(part)
+        })
+        .map_err(|e| format!("{} failed: {e}", E::NAME))?;
+        saver.flush(&part);
+        emit_partial(&part, shard, opts.out)?;
+        return Ok(ExitCode::SUCCESS);
+    }
+    // Outputs are kept only when there is somewhere to save them.
+    let mut grown = saver.path.is_some().then(|| part.clone());
+    let finished = E::finish(&part, opts, |item, output| {
+        if let Some(grown) = &mut grown {
+            grown.record(E::index(item), output.clone());
+            saver.tick(grown);
+        }
+    });
+    let (report, profile) = finished.map_err(|e| format!("{} failed: {e}", E::NAME))?;
+    if let Some(grown) = &grown {
+        saver.flush(grown);
+    }
+    emit_report::<E>(&report, opts)?;
+    if let (Some(path), Some((budget, flame))) = (opts.flamegraph, profile) {
+        write_flamegraph(path, &flame)?;
+        print_budget(&budget, opts.format);
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints a report in the chosen format and writes `<out>.json` and
+/// `<out>.csv` under `--out`.
+fn emit_report<E: Engine>(report: &E::Report, opts: &RunOpts) -> Result<(), String> {
     // Render each format at most once; stdout and --out reuse the bytes.
+    let (format, out) = (opts.format, opts.out);
     let mut json = String::new();
     let mut csv = String::new();
     if format == Format::Json || out.is_some() {
-        report.to_json_into(&mut json);
+        report.json_into(&mut json);
     }
     if format == Format::Csv || out.is_some() {
-        report.to_csv_into(&mut csv);
+        report.csv_into(&mut csv);
     }
     match format {
-        Format::Text => print!("{}", report.render_text()),
+        Format::Text => print!("{}", report.text()),
         Format::Json => print!("{json}"),
         Format::Csv => print!("{csv}"),
     }
@@ -736,9 +850,95 @@ fn emit_report(report: &CampaignReport, format: Format, out: Option<&str>) -> Re
         let csv_path = format!("{base}.csv");
         std::fs::write(&json_path, &json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
         std::fs::write(&csv_path, &csv).map_err(|e| format!("cannot write {csv_path}: {e}"))?;
-        eprintln!("[campaign] wrote {json_path} and {csv_path}");
+        eprintln!("[{}] wrote {json_path} and {csv_path}", E::NAME);
     }
     Ok(())
+}
+
+/// Writes a shard's partial to `<out>.json` (atomically), or to stdout.
+fn emit_partial<E: Engine>(
+    part: &Partial<E>,
+    shard: Shard,
+    out: Option<&str>,
+) -> Result<(), String> {
+    let Some(base) = out else {
+        print!("{}", part.to_json_string());
+        return Ok(());
+    };
+    let path = format!("{base}.json");
+    part.save(&path, &mut String::new())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!(
+        "[{}] shard {}/{}: {} {} completed, wrote {path}",
+        E::NAME,
+        shard.index,
+        shard.count,
+        part.completed_count(),
+        E::UNIT
+    );
+    Ok(())
+}
+
+/// Rejects flags a shard run cannot honour. `runs` names the run in the
+/// `--format` message.
+fn shard_conflicts(flags: &Flags, runs: &str) -> Result<(), String> {
+    if flags.contains("--format") {
+        return Err(format!(
+            "--format does not apply to {runs}; partials are always JSON"
+        ));
+    }
+    let refused = [
+        (
+            "--classify",
+            "--classify does not apply to shard runs; classify at --merge",
+        ),
+        ("--fast-path", "--fast-path does not apply to shard runs"),
+        (
+            "--flamegraph",
+            "--flamegraph does not apply to shard runs; profile the merge",
+        ),
+    ];
+    match refused.iter().find(|(flag, _)| flags.contains(flag)) {
+        Some((_, message)) => Err(message.to_string()),
+        None => Ok(()),
+    }
+}
+
+/// `--merge a.json b.json …`: unions the partials and finishes the run,
+/// executing whatever they lack locally.
+fn cmd_merge<E: Engine>(flags: &Flags, opts: &RunOpts) -> Cmd {
+    if let Some(conflicting) = E::MERGE_CONFLICTS.iter().find(|f| flags.contains(f)) {
+        return Err(format!("--merge cannot be combined with {conflicting}"));
+    }
+    let parts: Result<Vec<Partial<E>>, String> = flags
+        .get_all("--merge")
+        .iter()
+        .map(|path| Partial::load(path))
+        .collect();
+    let merged = merge(parts?).map_err(|e| format!("merge failed: {e}"))?;
+    let missing = merged.missing().len();
+    if missing > 0 {
+        eprintln!(
+            "[{}] warning: {missing} {} missing from the partials; \
+             executing them locally",
+            E::NAME,
+            E::UNIT
+        );
+    }
+    drive(merged, None, opts)
+}
+
+/// A fresh run of `spec`: one shard of it under `--shard i/n`, else the
+/// whole run. A shard saves periodically to `save` or, without one, to
+/// its `--out` partial.
+fn cmd_start<E: Engine>(flags: &Flags, spec: E::Spec, save: Option<String>, opts: &RunOpts) -> Cmd {
+    let shard = flags.get("--shard").map(Shard::parse).transpose()?;
+    if shard.is_some() {
+        shard_conflicts(flags, "--shard runs")?;
+    }
+    let save = save.or_else(|| shard.and(opts.out).map(|base| format!("{base}.json")));
+    let part = Partial::<E>::fresh(spec, shard).map_err(|e| format!("{} failed: {e}", E::NAME))?;
+    drive(part, save, opts)
 }
 
 /// Writes a collapsed-stack flame graph (one `frame;frame weight` line
@@ -764,204 +964,20 @@ fn print_budget(text: &str, format: Format) {
     }
 }
 
-/// Writes a shard's partial state to `--out` (as `<base>.json`) or stdout.
-fn emit_partial(part: &Checkpoint, out: Option<&str>) -> Result<(), String> {
-    let shard = part.shard.expect("partials carry their shard");
-    match out {
-        Some(base) => {
-            let path = format!("{base}.json");
-            std::fs::write(&path, part.to_json_string())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!(
-                "[campaign] shard {}/{}: {} first-pass runs completed, wrote {path}",
-                shard.index,
-                shard.count,
-                part.completed_runs()
-            );
-        }
-        None => print!("{}", part.to_json_string()),
-    }
-    Ok(())
-}
-
-fn cmd_campaign_merge(flags: &Flags, jobs: usize, format: Format, classify: bool) -> ExitCode {
-    for conflicting in [
-        "--config",
-        "--default",
-        "--seed",
-        "--shard",
-        "--resume",
-        "--checkpoint",
-    ] {
-        if flags.contains(conflicting) {
-            return fail(&format!("--merge cannot be combined with {conflicting}"));
-        }
-    }
-    let mut parts = Vec::new();
-    for path in flags.get_all("--merge") {
-        match Checkpoint::load(path) {
-            Ok(p) => parts.push(p),
-            Err(e) => return fail(&e),
-        }
-    }
-    let merged = match merge_checkpoints(parts) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("merge failed: {e}")),
-    };
-    let missing = merged.missing_pass1().len();
-    if missing > 0 {
-        eprintln!(
-            "[campaign] warning: {missing} first-pass runs missing from the partials; \
-             executing them locally"
-        );
-    }
-    let report = match finish_from_checkpoint_with(
-        &merged,
-        jobs,
-        classify,
-        progress_meter("campaign", "runs"),
-        |_, _| {},
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
-    match emit_report(&report, format, flags.get("--out")) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
 /// `campaign --diff old.json new.json`: load two reports, surface
 /// per-cell and per-feature behaviour changes.
-fn cmd_campaign_diff(paths: &[String], format: Format) -> ExitCode {
+fn cmd_campaign_diff(paths: &[String], format: Format) -> Cmd {
     let mut reports = Vec::new();
     for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        match CampaignReport::from_json_str(&text) {
-            Ok(r) => reports.push(r),
-            Err(e) => return fail(&format!("{path}: {e}")),
-        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        reports.push(CampaignReport::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?);
     }
     let diff = diff_reports(&reports[0], &reports[1]);
     match format {
         Format::Json => print!("{}", diff.to_json()),
         _ => print!("{}", diff.render_text()),
     }
-    ExitCode::SUCCESS
-}
-
-/// Executes one shard's slice (fresh or resumed) with periodic checkpoint
-/// saves, then emits the partial.
-fn cmd_campaign_shard(
-    spec: CampaignSpec,
-    jobs: usize,
-    shard: Shard,
-    resume_from: Option<Checkpoint>,
-    ckpt_path: Option<String>,
-    out: Option<&str>,
-) -> ExitCode {
-    let result = run_shard(
-        &spec,
-        jobs,
-        shard,
-        resume_from,
-        progress_meter("campaign", "runs"),
-        periodic_save(ckpt_path.clone()),
-    );
-    let part = match result {
-        Ok(p) => p,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
-    save_checkpoint(&part, &ckpt_path, &mut String::new());
-    match emit_partial(&part, out) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
-/// Runs (or resumes) a full two-pass campaign with optional periodic
-/// checkpointing, then reports.
-#[allow(clippy::too_many_arguments)]
-fn cmd_campaign_full(
-    spec: CampaignSpec,
-    jobs: usize,
-    format: Format,
-    classify: bool,
-    fast_path: bool,
-    resume_from: Option<Checkpoint>,
-    ckpt_path: Option<String>,
-    out: Option<&str>,
-    flamegraph: Option<&str>,
-) -> ExitCode {
-    let pass1_runs = match expand(&spec) {
-        Ok(runs) => runs.len() as u64,
-        Err(e) => return fail(&format!("bad spec: {e}")),
-    };
-    if let Some(ckpt) = &resume_from {
-        if let Err(e) = ckpt.validate_shape(pass1_runs) {
-            return fail(&format!("resume: {e}"));
-        }
-    }
-    let ckpt = resume_from.unwrap_or_else(|| Checkpoint::new(spec.clone(), pass1_runs, None));
-    let completed = ckpt.completed().clone();
-    if !completed.is_empty() {
-        eprintln!(
-            "[campaign] resuming: {} runs already completed",
-            completed.len()
-        );
-    }
-    let mut saver = Saver::new(ckpt, ckpt_path);
-    let outcome = run_campaign_resumable_with(
-        &spec,
-        jobs,
-        fast_path,
-        &completed,
-        progress_meter("campaign", "runs"),
-        |run, out| saver.record(run, out),
-    );
-    let (runs, outputs) = match outcome {
-        Ok(pair) => pair,
-        Err(e) => return fail(&format!("campaign failed: {e}")),
-    };
-    saver.flush();
-    let report = build_report_with(&spec, &runs, &outputs, classify);
-    if let Err(e) = emit_report(&report, format, out) {
-        return fail(&e);
-    }
-    if let Some(path) = flamegraph {
-        // Attribute the executed run list (first pass + refinement) into
-        // the per-cell latency budget and the flame graph. Both are pure
-        // functions of (spec, run list): byte-identical across --jobs.
-        let (budget, flame) = profile_runs(&spec, &runs);
-        if let Err(e) = write_flamegraph(path, &flame) {
-            return fail(&e);
-        }
-        print_budget(&budget.render_text(), format);
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_campaign(flags: Flags) -> ExitCode {
-    if flags.contains("--print-spec") {
-        println!("{}", CampaignSpec::default().to_json());
-        return ExitCode::SUCCESS;
-    }
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
-    };
-    let obs = match Obs::start(&flags, jobs, "runs") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_campaign_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lazyeye replay <bundle.json|dir>`: re-executes the run(s) a flight
@@ -969,17 +985,11 @@ fn cmd_campaign(flags: Flags) -> ExitCode {
 /// regenerated trace against the recording. A directory replays every
 /// `*.json` bundle in it (sorted by name). Exits non-zero if any replay
 /// diverges — the CI determinism gate.
-fn cmd_replay(path: &str, format: Format) -> ExitCode {
-    let meta = match std::fs::metadata(path) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
+fn cmd_replay(path: &str, format: Format) -> Cmd {
+    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     if meta.is_dir() {
-        let entries = match std::fs::read_dir(path) {
-            Ok(it) => it,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
+        let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         for entry in entries.flatten() {
             let p = entry.path();
             if p.extension().is_some_and(|ext| ext == "json") {
@@ -988,25 +998,20 @@ fn cmd_replay(path: &str, format: Format) -> ExitCode {
         }
         files.sort();
         if files.is_empty() {
-            return fail(&format!("{path}: no bundles (*.json) found"));
+            return Err(format!("{path}: no bundles (*.json) found"));
         }
     } else {
         files.push(path.into());
     }
     let mut reports = Vec::new();
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {}: {e}", file.display())),
-        };
-        let bundle = match lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&text) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("{}: {e}", file.display())),
-        };
-        match lazy_eye_inspection::campaign::replay(&bundle) {
-            Ok(r) => reports.push(r),
-            Err(e) => return fail(&format!("{}: {e}", file.display())),
-        }
+        let text = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let bundle = lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&text)
+            .map_err(|e| format!("{}: {e}", file.display()))?;
+        let report = lazy_eye_inspection::campaign::replay(&bundle)
+            .map_err(|e| format!("{}: {e}", file.display()))?;
+        reports.push(report);
     }
     let divergent = reports.iter().filter(|r| !r.identical).count();
     match format {
@@ -1022,11 +1027,11 @@ fn cmd_replay(path: &str, format: Format) -> ExitCode {
             );
         }
     }
-    if divergent == 0 {
+    Ok(if divergent == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `lazyeye profile <traces.json|bundle.json|dir>`: causal latency
@@ -1036,17 +1041,11 @@ fn cmd_replay(path: &str, format: Format) -> ExitCode {
 /// critical path through the run's causal DAG. Accepts trace-set files
 /// (`--emit-trace` output), flight-recorder bundles, or a directory of
 /// either (`*.json`, sorted by name).
-fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
-    let meta = match std::fs::metadata(path) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
+fn cmd_profile(path: &str, flags: &Flags, format: Format) -> Cmd {
+    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     if meta.is_dir() {
-        let entries = match std::fs::read_dir(path) {
-            Ok(it) => it,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
+        let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         for entry in entries.flatten() {
             let p = entry.path();
             if p.extension().is_some_and(|ext| ext == "json") {
@@ -1055,17 +1054,15 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
         }
         files.sort();
         if files.is_empty() {
-            return fail(&format!("{path}: no trace files (*.json) found"));
+            return Err(format!("{path}: no trace files (*.json) found"));
         }
     } else {
         files.push(path.into());
     }
     let mut traces: Vec<Trace> = Vec::new();
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {}: {e}", file.display())),
-        };
+        let text = std::fs::read_to_string(file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         match TraceSet::from_json_str(&text) {
             Ok(set) => traces.extend(set.traces),
             // Not a trace set — a flight-recorder bundle carries the
@@ -1078,12 +1075,12 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
                         file.display()
                     ),
                 },
-                Err(_) => return fail(&format!("{}: {set_err}", file.display())),
+                Err(_) => return Err(format!("{}: {set_err}", file.display())),
             },
         }
     }
     if traces.is_empty() {
-        return fail(&format!("{path}: no attributable traces found"));
+        return Err(format!("{path}: no attributable traces found"));
     }
     let mut budget = LatencyBudget::default();
     let mut flame = FlameGraph::new();
@@ -1172,172 +1169,87 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> ExitCode {
         }
     }
     if let Some(out) = flags.get("--flamegraph") {
-        if let Err(e) = write_flamegraph(out, &flame) {
-            return fail(&e);
-        }
+        write_flamegraph(out, &flame)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match parse_format(flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
+fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> Cmd {
+    let format = parse_format(flags)?;
+    let opts = RunOpts {
+        jobs,
+        format,
+        out: flags.get("--out"),
+        flamegraph: flags.get("--flamegraph"),
+        classify: flags.contains("--classify"),
+        fast_path: flags.contains("--fast-path"),
     };
-    let classify = flags.contains("--classify");
-    let fast_path = flags.contains("--fast-path");
-    let flamegraph = flags.get("--flamegraph");
 
     if flags.contains("--merge") {
-        if fast_path {
-            return fail("--fast-path does not apply to --merge; it only affects local runs");
+        if opts.fast_path {
+            return Err("--fast-path does not apply to --merge; it only affects local runs".into());
         }
-        if flamegraph.is_some() {
-            return fail("--flamegraph applies to local full campaign runs, not --merge");
-        }
-        return cmd_campaign_merge(flags, jobs, format, classify);
+        return cmd_merge::<CampaignMatrix>(flags, &opts);
     }
 
-    let ckpt_path = flags.get("--checkpoint").map(String::from);
-    let out = flags.get("--out");
+    let save = flags.get("--checkpoint").map(String::from);
 
     if let Some(resume_path) = flags.get("--resume") {
         if flags.contains("--config") || flags.contains("--seed") || flags.contains("--default") {
-            return fail(
-                "--resume reads spec and seed from the checkpoint; drop --config/--default/--seed",
+            return Err(
+                "--resume reads spec and seed from the checkpoint; drop --config/--default/--seed"
+                    .into(),
             );
         }
-        let ckpt = match Checkpoint::load(resume_path) {
-            Ok(c) => c,
-            Err(e) => return fail(&e),
-        };
-        // Keep checkpointing where we left off unless redirected.
-        let ckpt_path = ckpt_path.or_else(|| Some(resume_path.to_string()));
-        let spec = ckpt.spec.clone();
-        return match ckpt.shard {
+        let ckpt = Checkpoint::load(resume_path)?;
+        match ckpt.shard {
             Some(shard) => {
-                if let Some(flag) = flags.get("--shard") {
-                    match Shard::parse(flag) {
-                        Ok(s) if s == shard => {}
-                        Ok(s) => {
-                            return fail(&format!(
-                                "--shard {}/{} disagrees with the checkpoint's {}/{}",
-                                s.index, s.count, shard.index, shard.count
-                            ))
-                        }
-                        Err(e) => return fail(&e),
+                if let Some(s) = flags.get("--shard").map(Shard::parse).transpose()? {
+                    if s != shard {
+                        return Err(format!(
+                            "--shard {}/{} disagrees with the checkpoint's {}/{}",
+                            s.index, s.count, shard.index, shard.count
+                        ));
                     }
                 }
-                if flags.contains("--format") {
-                    return fail("--format does not apply to shard runs; partials are always JSON");
-                }
-                if classify {
-                    return fail("--classify does not apply to shard runs; classify at --merge");
-                }
-                if fast_path {
-                    return fail("--fast-path does not apply to shard runs");
-                }
-                if flamegraph.is_some() {
-                    return fail("--flamegraph does not apply to shard runs; profile the merge");
-                }
-                cmd_campaign_shard(spec, jobs, shard, Some(ckpt), ckpt_path, out)
+                shard_conflicts(flags, "shard runs")?;
             }
-            None => {
-                if flags.contains("--shard") {
-                    return fail("--shard cannot be added to a whole-campaign checkpoint");
-                }
-                cmd_campaign_full(
-                    spec,
-                    jobs,
-                    format,
-                    classify,
-                    fast_path,
-                    Some(ckpt),
-                    ckpt_path,
-                    out,
-                    flamegraph,
-                )
+            None if flags.contains("--shard") => {
+                return Err("--shard cannot be added to a whole-campaign checkpoint".into())
             }
-        };
+            None => {}
+        }
+        if ckpt.completed_count() > 0 {
+            eprintln!(
+                "[campaign] resuming: {} runs already completed",
+                ckpt.completed_count()
+            );
+        }
+        // Keep checkpointing where we left off unless redirected.
+        return drive(ckpt, save.or_else(|| Some(resume_path.to_string())), &opts);
     }
 
     let spec = if flags.contains("--default") {
         if flags.contains("--config") {
-            return fail("--config and --default are mutually exclusive");
+            return Err("--config and --default are mutually exclusive".into());
         }
         let mut spec = CampaignSpec::default();
         if let Some(seed) = flags.get("--seed") {
-            match seed.parse() {
-                Ok(s) => spec.seed = s,
-                Err(_) => return fail(&format!("flag --seed: invalid value {seed:?}")),
-            }
+            spec.seed = seed
+                .parse()
+                .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
         }
         spec
     } else {
         let Some(path) = flags.get("--config") else {
-            return fail(
-                "campaign needs --config <spec.json> or --default \
-                 (or --print-spec / --resume / --merge)",
-            );
+            return Err("campaign needs --config <spec.json> or --default \
+                 (or --print-spec / --resume / --merge)"
+                .into());
         };
-        match load_spec(flags, path) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        }
+        load_spec(flags, path)?
     };
 
-    if let Some(shard_flag) = flags.get("--shard") {
-        let shard = match Shard::parse(shard_flag) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        if flags.contains("--format") {
-            return fail("--format does not apply to --shard runs; partials are always JSON");
-        }
-        if classify {
-            return fail("--classify does not apply to shard runs; classify at --merge");
-        }
-        if fast_path {
-            return fail("--fast-path does not apply to shard runs");
-        }
-        if flamegraph.is_some() {
-            return fail("--flamegraph does not apply to shard runs; profile the merge");
-        }
-        return cmd_campaign_shard(spec, jobs, shard, None, ckpt_path, out);
-    }
-    cmd_campaign_full(
-        spec, jobs, format, classify, fast_path, None, ckpt_path, out, flamegraph,
-    )
-}
-
-/// Emits a fleet report in the chosen format (and to `--out` files).
-fn emit_fleet_report(
-    report: &fleet::FleetReport,
-    format: Format,
-    out: Option<&str>,
-) -> Result<(), String> {
-    // Render each format at most once; stdout and --out reuse the bytes.
-    let mut json = String::new();
-    let mut csv = String::new();
-    if format == Format::Json || out.is_some() {
-        report.to_json_into(&mut json);
-    }
-    if format == Format::Csv || out.is_some() {
-        report.to_csv_into(&mut csv);
-    }
-    match format {
-        Format::Text => print!("{}", report.render_text()),
-        Format::Json => print!("{json}"),
-        Format::Csv => print!("{csv}"),
-    }
-    if let Some(base) = out {
-        let json_path = format!("{base}.json");
-        let csv_path = format!("{base}.csv");
-        std::fs::write(&json_path, &json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
-        std::fs::write(&csv_path, &csv).map_err(|e| format!("cannot write {csv_path}: {e}"))?;
-        eprintln!("[fleet] wrote {json_path} and {csv_path}");
-    }
-    Ok(())
+    cmd_start::<CampaignMatrix>(flags, spec, save, &opts)
 }
 
 /// Loads a fleet spec from `--spec`/`--default` and applies `--seed`,
@@ -1381,195 +1293,50 @@ fn load_fleet_spec(flags: &Flags) -> Result<FleetSpec, String> {
 /// `fleet --diff old.json new.json`: load two fleet reports, surface
 /// membership changes and per-member/resolver/summary behaviour deltas —
 /// the longitudinal population-tracking view.
-fn cmd_fleet_diff(paths: &[String], format: Format) -> ExitCode {
+fn cmd_fleet_diff(paths: &[String], format: Format) -> Cmd {
     let mut texts = Vec::new();
     for path in paths {
-        match std::fs::read_to_string(path) {
-            Ok(t) => texts.push(t),
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        }
+        texts.push(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?);
     }
-    let diff = match fleet::diff_report_strs(&texts[0], &texts[1]) {
-        Ok(d) => d,
-        Err(e) => return fail(&e),
-    };
+    let diff = fleet::diff_report_strs(&texts[0], &texts[1])?;
     match format {
         Format::Json => print!("{}", diff.to_json()),
         _ => print!("{}", diff.render_text()),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_fleet(flags: Flags) -> ExitCode {
-    if flags.contains("--print-spec") {
-        println!("{}", FleetSpec::default().to_json());
-        return ExitCode::SUCCESS;
-    }
-    let jobs = match parse_jobs(&flags) {
-        Ok(j) => j,
-        Err(e) => return fail(&e),
+fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> Cmd {
+    let format = parse_format(flags)?;
+    let opts = RunOpts {
+        jobs,
+        format,
+        out: flags.get("--out"),
+        flamegraph: flags.get("--flamegraph"),
+        classify: false,
+        fast_path: false,
     };
-    let obs = match Obs::start(&flags, jobs, "sessions") {
-        Ok(o) => o,
-        Err(e) => return fail(&e),
-    };
-    let code = cmd_fleet_dispatch(&flags, jobs);
-    match obs.finish() {
-        Ok(()) => code,
-        Err(e) => fail(&e),
-    }
-}
-
-fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> ExitCode {
-    let format = match parse_format(flags) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let out = flags.get("--out");
-    let flamegraph = flags.get("--flamegraph");
-
     if flags.contains("--merge") {
-        if flamegraph.is_some() {
-            return fail("--flamegraph applies to local full fleet runs, not --merge");
-        }
-        for conflicting in [
-            "--spec",
-            "--default",
-            "--seed",
-            "--sessions",
-            "--reps",
-            "--shard",
-        ] {
-            if flags.contains(conflicting) {
-                return fail(&format!("--merge cannot be combined with {conflicting}"));
-            }
-        }
-        let mut parts = Vec::new();
-        for path in flags.get_all("--merge") {
-            match FleetCheckpoint::load(path) {
-                Ok(p) => parts.push(p),
-                Err(e) => return fail(&e),
-            }
-        }
-        let merged = match merge_partials(parts) {
-            Ok(m) => m,
-            Err(e) => return fail(&format!("merge failed: {e}")),
-        };
-        let missing = merged.missing().len();
-        if missing > 0 {
-            eprintln!(
-                "[fleet] warning: {missing} sessions missing from the partials; \
-                 executing them locally"
-            );
-        }
-        let report =
-            match fleet::finish_from_partial(&merged, jobs, progress_meter("fleet", "sessions")) {
-                Ok(r) => r,
-                Err(e) => return fail(&format!("fleet failed: {e}")),
-            };
-        return match emit_fleet_report(&report, format, out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        };
+        return cmd_merge::<FleetMatrix>(flags, &opts);
     }
-
-    let spec = match load_fleet_spec(flags) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-
-    if let Some(shard_flag) = flags.get("--shard") {
-        let shard = match fleet::Shard::parse(shard_flag) {
-            Ok(s) => s,
-            Err(e) => return fail(&e),
-        };
-        if flags.contains("--format") {
-            return fail("--format does not apply to --shard runs; partials are always JSON");
-        }
-        if flamegraph.is_some() {
-            return fail("--flamegraph does not apply to shard runs; profile the merge");
-        }
-        // Save the partial periodically while the shard runs (atomic
-        // temp-file + rename), so a kill loses at most CHECKPOINT_EVERY
-        // sessions — the same crash contract as campaign shards.
-        let partial_path = out.map(|base| format!("{base}.json"));
-        let mut unsaved = 0u64;
-        let outcome = run_fleet_shard(
-            &spec,
-            jobs,
-            shard,
-            progress_meter("fleet", "sessions"),
-            |ckpt| {
-                unsaved += 1;
-                if unsaved >= CHECKPOINT_EVERY {
-                    unsaved = 0;
-                    if let Some(path) = &partial_path {
-                        if let Err(e) = ckpt.save(path) {
-                            eprintln!("lazyeye: warning: cannot write partial {path}: {e}");
-                        }
-                    }
-                }
-            },
-        );
-        let part = match outcome {
-            Ok(p) => p,
-            Err(e) => return fail(&format!("fleet failed: {e}")),
-        };
-        match &partial_path {
-            Some(path) => {
-                if let Err(e) = part.save(path) {
-                    return fail(&format!("cannot write {path}: {e}"));
-                }
-                eprintln!(
-                    "[fleet] shard {}/{}: {} sessions completed, wrote {path}",
-                    shard.index,
-                    shard.count,
-                    part.completed_sessions()
-                );
-            }
-            None => print!("{}", part.to_json_string()),
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let report = match run_fleet(&spec, jobs, progress_meter("fleet", "sessions")) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("fleet failed: {e}")),
-    };
-    if let Err(e) = emit_fleet_report(&report, format, out) {
-        return fail(&e);
-    }
-    if let Some(path) = flamegraph {
-        // Per-member probe attribution: a pure function of (spec, seed),
-        // byte-identical across --jobs like the report itself.
-        let (budget, flame) = match fleet::profile_fleet(&spec) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&format!("fleet profiling failed: {e}")),
-        };
-        if let Err(e) = write_flamegraph(path, &flame) {
-            return fail(&e);
-        }
-        print_budget(&budget.render_text(), format);
-    }
-    ExitCode::SUCCESS
+    let spec = load_fleet_spec(flags)?;
+    cmd_start::<FleetMatrix>(flags, spec, None, &opts)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| fail(&e))
+}
+
+fn run(args: &[String]) -> Cmd {
     let Some(cmd) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
     let rest = &args[1..];
     match cmd.as_str() {
         "clients" => {
-            let flags = match parse_flags(rest, &[val("--format")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match parse_format(&flags) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            let flags = parse_flags(rest, &[val("--format")])?;
+            let format = parse_format(&flags)?;
             let mut t = Table::new("Client profiles", vec!["id", "engine", "CAD", "RD"]);
             for c in all_measured_clients() {
                 t.row(vec![
@@ -1584,17 +1351,11 @@ fn main() -> ExitCode {
                 ]);
             }
             print_table(&t, format);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "resolvers" => {
-            let flags = match parse_flags(rest, &[val("--format")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match parse_format(&flags) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            let flags = parse_flags(rest, &[val("--format")])?;
+            let format = parse_format(&flags)?;
             let mut t = Table::new(
                 "Resolver profiles",
                 vec!["name", "kind", "timeout", "v6 pref", "notes"],
@@ -1609,10 +1370,10 @@ fn main() -> ExitCode {
                 ]);
             }
             print_table(&t, format);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "cad" => {
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--client"),
@@ -1623,50 +1384,27 @@ fn main() -> ExitCode {
                     val("--seed"),
                     val("--emit-trace"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            )?;
             let Some(id) = flags.get("--client") else {
-                return usage();
+                return Ok(usage());
             };
             let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?} (try `lazyeye clients`)"));
+                return Err(format!("unknown client {id:?} (try `lazyeye clients`)"));
             };
-            let (from, to, step, reps, seed) = match (
-                parse_num(&flags, "--from", 0),
-                parse_num(&flags, "--to", 400),
-                parse_num(&flags, "--step", 25),
-                parse_num(&flags, "--reps", 1),
-                parse_num(&flags, "--seed", 1u64),
-            ) {
-                (Ok(a), Ok(b), Ok(c), Ok(d), Ok(e)) => (a, b, c, d, e),
-                (a, b, c, d, e) => {
-                    let err = [
-                        a.err(),
-                        b.err(),
-                        c.err(),
-                        d.map(|_| ()).err(),
-                        e.map(|_| ()).err(),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    .next()
-                    .unwrap();
-                    return fail(&err);
-                }
-            };
+            let from = parse_num(&flags, "--from", 0)?;
+            let to = parse_num(&flags, "--to", 400)?;
+            let step = parse_num(&flags, "--step", 25)?;
+            let reps = parse_num(&flags, "--reps", 1)?;
+            let seed = parse_num(&flags, "--seed", 1u64)?;
             if step == 0 {
-                return fail("flag --step: must be > 0");
+                return Err("flag --step: must be > 0".into());
             }
             let cfg = CadCaseConfig {
                 sweep: SweepSpec::new(from, to, step),
                 repetitions: reps,
             };
             let (samples, traces) = run_cad_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
+            emit_trace_set(&flags, &traces)?;
             let strip: String = samples
                 .iter()
                 .map(|s| match s.family {
@@ -1681,10 +1419,10 @@ fn main() -> ExitCode {
                 "last v6: {:?} ms, first v4: {:?} ms, measured CAD: {:?} ms",
                 s.last_v6_delay_ms, s.first_v4_delay_ms, s.measured_cad_ms
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "rd" => {
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--client"),
@@ -1693,40 +1431,29 @@ fn main() -> ExitCode {
                     val("--seed"),
                     val("--emit-trace"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            )?;
             let Some(id) = flags.get("--client") else {
-                return usage();
+                return Ok(usage());
             };
             let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?}"));
+                return Err(format!("unknown client {id:?}"));
             };
             let record = match flags.get("--record") {
                 Some("a") => DelayedRecord::A,
                 Some("aaaa") | None => DelayedRecord::Aaaa,
                 Some(other) => {
-                    return fail(&format!("flag --record: expected aaaa|a, got {other:?}"))
+                    return Err(format!("flag --record: expected aaaa|a, got {other:?}"))
                 }
             };
-            let delay = match parse_num(&flags, "--delay", 400) {
-                Ok(d) => d,
-                Err(e) => return fail(&e),
-            };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
+            let delay = parse_num(&flags, "--delay", 400)?;
+            let seed = parse_num(&flags, "--seed", 1u64)?;
             let cfg = RdCaseConfig {
                 delayed: record,
                 sweep: SweepSpec::new(delay, delay, 1),
                 repetitions: 3,
             };
             let (samples, traces) = run_rd_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
+            emit_trace_set(&flags, &traces)?;
             for s in &samples {
                 println!(
                     "delay {} ms rep {}: family {:?}, first SYN at {:?} ms, RD used: {}",
@@ -1735,24 +1462,17 @@ fn main() -> ExitCode {
             }
             let sum = summarize_rd(&samples);
             println!("implements RD: {}", sum.implements_rd);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "selection" => {
-            let flags =
-                match parse_flags(rest, &[val("--client"), val("--seed"), val("--emit-trace")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
+            let flags = parse_flags(rest, &[val("--client"), val("--seed"), val("--emit-trace")])?;
             let Some(id) = flags.get("--client") else {
-                return usage();
+                return Ok(usage());
             };
             let Some(profile) = find_client(id) else {
-                return fail(&format!("unknown client {id:?}"));
+                return Err(format!("unknown client {id:?}"));
             };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
+            let seed = parse_num(&flags, "--seed", 1u64)?;
             let (r, trace) = run_selection_once_traced(
                 &profile,
                 &SelectionCaseConfig::default(),
@@ -1763,9 +1483,7 @@ fn main() -> ExitCode {
             );
             let mut traces = TraceSet::default();
             traces.push(trace);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
+            emit_trace_set(&flags, &traces)?;
             let order: String = r
                 .order
                 .iter()
@@ -1773,10 +1491,10 @@ fn main() -> ExitCode {
                 .collect();
             println!("attempt order: {order}");
             println!("addresses used: {} IPv6, {} IPv4", r.v6_used, r.v4_used);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "resolver" => {
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--profile"),
@@ -1784,26 +1502,17 @@ fn main() -> ExitCode {
                     val("--seed"),
                     val("--emit-trace"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            )?;
             let Some(name) = flags.get("--profile") else {
-                return usage();
+                return Ok(usage());
             };
             let Some(profile) = all_profiles().into_iter().find(|p| p.name == name) else {
-                return fail(&format!(
+                return Err(format!(
                     "unknown resolver {name:?} (try `lazyeye resolvers`)"
                 ));
             };
-            let reps = match parse_num(&flags, "--reps", 20) {
-                Ok(r) => r,
-                Err(e) => return fail(&e),
-            };
-            let seed = match parse_num(&flags, "--seed", 1u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
+            let reps = parse_num(&flags, "--reps", 20)?;
+            let seed = parse_num(&flags, "--seed", 1u64)?;
             let cfg = ResolverCaseConfig {
                 sweep: SweepSpec::new(
                     0,
@@ -1813,9 +1522,7 @@ fn main() -> ExitCode {
                 repetitions: reps,
             };
             let (samples, traces) = run_resolver_case_traced(&profile, &cfg, seed);
-            if let Err(e) = emit_trace_set(&flags, &traces) {
-                return fail(&e);
-            }
+            emit_trace_set(&flags, &traces)?;
             let stats = summarize_resolver(&samples);
             println!(
                 "{}: IPv6 share {}, max v6 delay {:?} ms, per-try timeout {:?} ms, max v6 packets {}",
@@ -1825,30 +1532,22 @@ fn main() -> ExitCode {
                 stats.observed_cad_ms,
                 stats.max_v6_packets
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "config" => {
-            if let Err(e) = parse_flags(rest, &[]) {
-                return fail(&e);
-            }
+            parse_flags(rest, &[])?;
             println!("{}", TestbedConfig::default().to_json());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "run" => {
-            let flags = match parse_flags(rest, &[val("--config")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
+            let flags = parse_flags(rest, &[val("--config")])?;
             let Some(path) = flags.get("--config") else {
-                return usage();
+                return Ok(usage());
             };
             let Ok(text) = std::fs::read_to_string(path) else {
-                return fail(&format!("cannot read {path}"));
+                return Err(format!("cannot read {path}"));
             };
-            let cfg = match TestbedConfig::from_json(&text) {
-                Ok(c) => c,
-                Err(e) => return fail(&format!("bad config: {e}")),
-            };
+            let cfg = TestbedConfig::from_json(&text).map_err(|e| format!("bad config: {e}"))?;
             let chrome = find_client("chrome-130.0").expect("builtin profile");
             if let Some(c) = &cfg.cad {
                 let s = summarize_cad(&run_cad_case(&chrome, c, cfg.seed));
@@ -1867,30 +1566,21 @@ fn main() -> ExitCode {
                 let s = summarize_resolver(&run_resolver_case(&p, c, cfg.seed));
                 println!("[resolver] Unbound v6 share {}", fmt_share(s.v6_share_pct));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "infer" => {
             // `--diff old.json new.json` is its own sub-mode with
             // positional profile-set paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
                 if rest.len() < 3 {
-                    return fail("--diff needs two profile files: --diff old.json new.json");
+                    return Err("--diff needs two profile files: --diff old.json new.json".into());
                 }
                 let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match flags.get("--format") {
-                    None | Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some(other) => {
-                        return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                    }
-                };
+                let flags = parse_flags(&rest[3..], &[val("--format")])?;
+                let format = parse_text_json(&flags)?;
                 return cmd_infer_diff(&paths, format);
             }
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--trace"),
@@ -1902,34 +1592,22 @@ fn main() -> ExitCode {
                     val("--metrics-out"),
                     switch("--progress"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_infer(flags)
+            )?;
+            with_obs(&flags, "runs", cmd_infer_dispatch)
         }
         "fleet" => {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
                 if rest.len() < 3 {
-                    return fail("--diff needs two report files: --diff old.json new.json");
+                    return Err("--diff needs two report files: --diff old.json new.json".into());
                 }
                 let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match flags.get("--format") {
-                    None | Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some(other) => {
-                        return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                    }
-                };
+                let flags = parse_flags(&rest[3..], &[val("--format")])?;
+                let format = parse_text_json(&flags)?;
                 return cmd_fleet_diff(&paths, format);
             }
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--spec"),
@@ -1949,31 +1627,26 @@ fn main() -> ExitCode {
                     switch("--progress"),
                     switch("--print-spec"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_fleet(flags)
+            )?;
+            if flags.contains("--print-spec") {
+                println!("{}", FleetSpec::default().to_json());
+                return Ok(ExitCode::SUCCESS);
+            }
+            with_obs(&flags, "sessions", cmd_fleet_dispatch)
         }
         "campaign" => {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths.
             if rest.first().map(String::as_str) == Some("--diff") {
                 if rest.len() < 3 {
-                    return fail("--diff needs two report files: --diff old.json new.json");
+                    return Err("--diff needs two report files: --diff old.json new.json".into());
                 }
                 let paths = rest[1..3].to_vec();
-                let flags = match parse_flags(&rest[3..], &[val("--format")]) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
-                let format = match parse_format(&flags) {
-                    Ok(f) => f,
-                    Err(e) => return fail(&e),
-                };
+                let flags = parse_flags(&rest[3..], &[val("--format")])?;
+                let format = parse_format(&flags)?;
                 return cmd_campaign_diff(&paths, format);
             }
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 rest,
                 &[
                     val("--config"),
@@ -1995,60 +1668,39 @@ fn main() -> ExitCode {
                     switch("--progress"),
                     switch("--print-spec"),
                 ],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            cmd_campaign(flags)
+            )?;
+            if flags.contains("--print-spec") {
+                println!("{}", CampaignSpec::default().to_json());
+                return Ok(ExitCode::SUCCESS);
+            }
+            with_obs(&flags, "runs", cmd_campaign_dispatch)
         }
         "replay" => {
             let Some(path) = rest.first() else {
-                return fail("replay needs a bundle file or directory: replay <bundle.json|dir>");
+                return Err(
+                    "replay needs a bundle file or directory: replay <bundle.json|dir>".into(),
+                );
             };
-            let flags = match parse_flags(
+            let flags = parse_flags(
                 &rest[1..],
                 &[val("--format"), val("--timeline"), val("--metrics-out")],
-            ) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match flags.get("--format") {
-                None | Some("text") => Format::Text,
-                Some("json") => Format::Json,
-                Some(other) => {
-                    return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                }
-            };
-            let obs = match Obs::start(&flags, 1, "bundles") {
-                Ok(o) => o,
-                Err(e) => return fail(&e),
-            };
-            let code = cmd_replay(path, format);
-            match obs.finish() {
-                Ok(()) => code,
-                Err(e) => fail(&e),
-            }
+            )?;
+            let format = parse_text_json(&flags)?;
+            let obs = Obs::start(&flags, 1, "bundles")?;
+            let code = cmd_replay(path, format).unwrap_or_else(|e| fail(&e));
+            obs.finish()?;
+            Ok(code)
         }
         "profile" => {
             let Some(path) = rest.first() else {
-                return fail(
-                    "profile needs traces, a bundle or a directory: \
-                     profile <traces.json|bundle.json|dir>",
-                );
+                return Err("profile needs traces, a bundle or a directory: \
+                     profile <traces.json|bundle.json|dir>"
+                    .into());
             };
-            let flags = match parse_flags(&rest[1..], &[val("--format"), val("--flamegraph")]) {
-                Ok(f) => f,
-                Err(e) => return fail(&e),
-            };
-            let format = match flags.get("--format") {
-                None | Some("text") => Format::Text,
-                Some("json") => Format::Json,
-                Some(other) => {
-                    return fail(&format!("flag --format: expected text|json, got {other:?}"))
-                }
-            };
+            let flags = parse_flags(&rest[1..], &[val("--format"), val("--flamegraph")])?;
+            let format = parse_text_json(&flags)?;
             cmd_profile(path, &flags, format)
         }
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }

@@ -19,7 +19,7 @@
 //! | [`clients`] | `lazyeye-clients` | browser/tool behaviour models, HTTP, iCPR |
 //! | [`testbed`] | `lazyeye-testbed` | test cases, runners, analyzers, tables |
 //! | [`campaign`] | `lazyeye-campaign` | sharded, deterministic campaign orchestration |
-//! | [`exec`] | `lazyeye-exec` | shared work-stealing executor + shard arithmetic |
+//! | [`exec`] | `lazyeye-exec` | shared work-stealing executor + resumable, shardable run kernel |
 //! | [`trace`] | `lazyeye-trace` | structured, serialisable event traces of runs |
 //! | [`infer`] | `lazyeye-infer` | trace → inferred client state + RFC 8305 verdicts |
 //! | [`webtool`] | `lazyeye-webtool` | the 18-tier web-based testing tool |
