@@ -10,25 +10,31 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lazyeye_bench::bench_json;
-use lazyeye_campaign::{run_campaign_with, CampaignSpec, NetemSpec};
+use lazyeye_campaign::{CampaignOptions, CampaignReport, CampaignSpec, Checkpoint, NetemSpec};
 use lazyeye_json::Json;
 use lazyeye_testbed::{CadCaseConfig, SweepSpec};
+
+/// One `--jobs 1` campaign, fast path on or off.
+fn bench_run(spec: &CampaignSpec, fast_path: bool) -> CampaignReport {
+    let opts = CampaignOptions {
+        fast_path,
+        classify: false,
+    };
+    let part = Checkpoint::fresh(spec.clone(), None).unwrap();
+    part.finish(1, &opts, false, |_, _| {}, |_, _| {})
+        .unwrap()
+        .0
+}
 
 /// Runs/sec of `iters` sequential executions of the bench campaign.
 fn throughput(spec: &CampaignSpec, iters: u32, fast: bool) -> f64 {
     for _ in 0..10 {
-        std::hint::black_box(
-            run_campaign_with(spec, 1, fast, |_, _| {})
-                .unwrap()
-                .total_runs,
-        );
+        std::hint::black_box(bench_run(spec, fast).total_runs);
     }
     let t0 = std::time::Instant::now();
     let mut total_runs = 0u64;
     for _ in 0..iters {
-        total_runs += run_campaign_with(spec, 1, fast, |_, _| {})
-            .unwrap()
-            .total_runs;
+        total_runs += bench_run(spec, fast).total_runs;
     }
     total_runs as f64 / t0.elapsed().as_secs_f64()
 }
@@ -47,7 +53,7 @@ fn emit_json(_c: &mut Criterion) {
     // count, fast-run count and fallback count are all deterministic
     // functions of (spec, seed).
     bench_json::reset_counters();
-    let report = run_campaign_with(&spec, 1, true, |_, _| {}).unwrap();
+    let report = bench_run(&spec, true);
     let fp = |name: &'static str| {
         Json::UInt(lazyeye_obs::counter(name, lazyeye_obs::Clock::Virtual).get())
     };
@@ -102,7 +108,7 @@ fn bench(c: &mut Criterion) {
         c.bench_function(&format!("cad_sweep_campaign_{label}"), |b| {
             let spec = bench_spec();
             b.iter(|| {
-                let report = run_campaign_with(&spec, 1, fast, |_, _| {}).unwrap();
+                let report = bench_run(&spec, fast);
                 std::hint::black_box(report.total_runs)
             })
         });

@@ -16,9 +16,11 @@
 //!   partials back into one state before finishing the campaign.
 //!
 //! This module contributes only what is campaign-specific: the plan, the
-//! run context, the kind check and the [`RunOutput`] JSON codec.
+//! refinement pass, the run context, the kind check, the [`RunOutput`]
+//! JSON codec, and (as an [`Engine`]) the report fold and profile. The
+//! kernel's one driver runs both passes and finishes every flow.
 
-use lazyeye_exec::{Matrix, Partial};
+use lazyeye_exec::{Engine, Matrix, Partial, Profile, Run};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_net::Family;
 use lazyeye_testbed::{CadSample, RdSample, ResolverSample, SelectionResult};
@@ -27,9 +29,24 @@ pub use lazyeye_exec::{merge, Shard};
 
 use crate::executor::{run_one, RunContext, RunOutput};
 use crate::plan::{expand, RunKind, RunSpec, SpecError};
+use crate::report::CampaignReport;
 use crate::spec::CampaignSpec;
+use crate::{build_report_with, forensics, profile, refine};
 
-/// The campaign as a resumable, shardable sweep of first-pass runs.
+/// The campaign's run options; the kernel passes them through unread.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CampaignOptions {
+    /// Run baseline-netem CAD/RD cells through the calibrated analytic
+    /// models wherever they verify (see [`RunContext::new_with`]). The
+    /// report is byte-identical either way.
+    pub fast_path: bool,
+    /// Add the inference section to the report (see
+    /// [`build_report_with`]).
+    pub classify: bool,
+}
+
+/// The campaign as a resumable, shardable sweep: first-pass runs plus
+/// the refinement pass planned from them.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignMatrix;
 
@@ -43,8 +60,10 @@ impl Matrix for CampaignMatrix {
     type Output = RunOutput;
     type Context<'a> = RunContext;
     type Error = SpecError;
+    type Options = CampaignOptions;
     const COUNT_KEY: &'static str = "pass1_runs";
     const ITEM: &'static str = "run";
+    const PASS_SPANS: &'static [&'static str] = &["campaign.pass1", "campaign.refine"];
 
     fn plan(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
         expand(spec)
@@ -54,8 +73,31 @@ impl Matrix for CampaignMatrix {
         plan
     }
 
-    fn context<'a>(spec: &'a CampaignSpec, _: &'a Vec<RunSpec>) -> Result<RunContext, SpecError> {
-        RunContext::new(spec)
+    fn extend(plan: &mut Vec<RunSpec>, later: Vec<RunSpec>) {
+        plan.extend(later);
+    }
+
+    fn context<'a>(
+        spec: &'a CampaignSpec,
+        plan: &'a Vec<RunSpec>,
+        opts: &CampaignOptions,
+    ) -> Result<RunContext, SpecError> {
+        RunContext::new_with(spec, plan, opts.fast_path)
+    }
+
+    /// One refinement pass after the first, planned from its outputs
+    /// (boxed for the flight recorder as it is planned).
+    fn next_pass(
+        spec: &CampaignSpec,
+        plan: &Vec<RunSpec>,
+        passes: usize,
+        outputs: &[RunOutput],
+    ) -> Option<Vec<RunSpec>> {
+        (passes == 1).then(|| {
+            let refinement = refine::plan_refinement(spec, plan, outputs);
+            forensics::on_refinement_brackets(spec, &refinement);
+            refinement
+        })
     }
 
     fn run(ctx: &RunContext, run: &RunSpec) -> RunOutput {
@@ -82,6 +124,21 @@ impl Matrix for CampaignMatrix {
 
     fn output_from_json(v: &Json) -> Result<RunOutput, JsonError> {
         output_from_json(v)
+    }
+}
+
+impl Engine for CampaignMatrix {
+    const NAME: &'static str = "campaign";
+    type Report = CampaignReport;
+
+    fn report(spec: &CampaignSpec, run: &Run<Self>, opts: &CampaignOptions) -> CampaignReport {
+        build_report_with(spec, &run.plan, &run.outputs, opts.classify)
+    }
+
+    /// Attributes the executed run list (first pass + refinement).
+    fn profile(spec: &CampaignSpec, runs: &Vec<RunSpec>) -> Profile {
+        let (budget, flame) = profile::profile_runs(spec, runs);
+        (budget.render_text(), flame)
     }
 }
 
@@ -266,7 +323,8 @@ mod tests {
         let err = ckpt.validate_shape(20).unwrap_err();
         assert!(err.message.contains("10-run"), "{err}");
         assert!(
-            crate::finish_from_checkpoint(&ckpt, 1, |_, _| {}, |_, _| {}).is_err(),
+            ckpt.finish(1, &CampaignOptions::default(), false, |_, _| {}, |_, _| {})
+                .is_err(),
             "finish must reject the stale shape (default spec expands to 100s of runs)"
         );
     }

@@ -221,8 +221,7 @@ pub fn build_inference(
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
-    use crate::{run_campaign_resumable, Aggregator};
-    use std::collections::BTreeMap;
+    use crate::{Aggregator, CampaignOptions, Checkpoint};
 
     #[test]
     fn inference_matrix_agrees_with_summary_on_a_small_campaign() {
@@ -247,8 +246,11 @@ mod tests {
             resolver: None,
             ..CampaignSpec::default()
         };
-        let (runs, outputs) =
-            run_campaign_resumable(&spec, 2, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+        let run = Checkpoint::fresh(spec.clone(), None)
+            .unwrap()
+            .run_passes(2, &CampaignOptions::default(), |_, _| {}, |_, _| {})
+            .unwrap();
+        let (runs, outputs) = (run.plan, run.outputs);
         let mut agg = Aggregator::new();
         for (r, o) in runs.iter().zip(&outputs) {
             agg.fold(r, o);

@@ -20,10 +20,14 @@
 //!    flags) in run-index order.
 //! 6. **[`report`]** — JSON/CSV/text emitters plus a Table-2 style
 //!    feature-matrix roll-up.
-//! 7. **[`checkpoint`]** — the campaign as a run-kernel matrix
-//!    ([`lazyeye_exec::Matrix`]): resumable progress (`--checkpoint`/
-//!    `--resume`) and multi-machine sharding (`--shard i/n` + `--merge`)
-//!    through the kernel's one partial format, stitch and shard runner.
+//! 7. **[`checkpoint`]** — the campaign as a run-kernel engine
+//!    ([`lazyeye_exec::Matrix`] + [`lazyeye_exec::Engine`]): its plan,
+//!    refinement rule, report fold and profile. The kernel's one
+//!    multi-pass driver runs both passes; resumable progress
+//!    (`--checkpoint`/`--resume`), multi-machine sharding (`--shard i/n`
+//!    and `--merge`) and fresh runs all finish through
+//!    [`lazyeye_exec::Partial::finish`]. [`run_campaign`] is the one-call
+//!    convenience; [`build_report_with`] folds a finished run.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(CampaignSpec, seed)`. Worker count, scheduling, steal patterns,
@@ -66,25 +70,20 @@ pub mod refine;
 pub mod report;
 pub mod spec;
 
-use std::collections::BTreeMap;
-
-use lazyeye_exec::{check_stitched, execute_missing};
-
 pub use aggregate::{Aggregator, CellReport, FeatureSummary, P2Quantile, StreamStats};
-pub use checkpoint::{merge, CampaignMatrix, Checkpoint, Shard};
+pub use checkpoint::{merge, CampaignMatrix, CampaignOptions, Checkpoint, Shard};
 pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
 pub use forensics::{replay, ReplayReport, RunProvenance};
 pub use inference::{build_inference, InferenceSection, InferredClientReport};
 pub use plan::{derive_seed, expand, split_rd_condition, RunKind, RunSpec, SpecError};
-pub use profile::{
-    fold_row, profile_campaign, profile_runs, stall_cross_checks, BudgetRow, LatencyBudget,
-    StallCrossCheck,
-};
+pub use profile::{profile_runs, stall_cross_checks, BudgetRow, LatencyBudget, StallCrossCheck};
 pub use refine::{derive_refine_seed, plan_refinement};
 pub use report::{diff_reports, CampaignReport, ReportDiff};
 pub use spec::{CampaignSpec, NetemSpec, RdPlan, SelectionPlan};
 
-/// Expands, executes (both passes) and aggregates a campaign in one call.
+/// Expands, executes (both passes) and aggregates a campaign in one call,
+/// through the run kernel ([`lazyeye_exec::run`]) with default
+/// [`CampaignOptions`].
 ///
 /// `jobs` is the worker-thread count (clamped to at least 1); `progress`
 /// receives `(finished, total)` after every run, on the calling thread.
@@ -95,112 +94,15 @@ pub fn run_campaign(
     jobs: usize,
     progress: impl FnMut(usize, usize),
 ) -> Result<CampaignReport, SpecError> {
-    run_campaign_with(spec, jobs, false, progress)
+    lazyeye_exec::run::<CampaignMatrix>(spec, jobs, &CampaignOptions::default(), progress)
 }
 
-/// [`run_campaign`] with the analytic fast path toggled by `fast_path`:
-/// when set, baseline-netem CAD/RD cells run through calibrated
-/// [`lazyeye_core::fastpath`] models instead of full simulation wherever
-/// the models verify (see [`RunContext::new_with`]). The report is
-/// byte-identical either way — the fast path only changes how fast it is
-/// computed.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    jobs: usize,
-    fast_path: bool,
-    progress: impl FnMut(usize, usize),
-) -> Result<CampaignReport, SpecError> {
-    let (runs, outputs) =
-        run_campaign_resumable_with(spec, jobs, fast_path, &BTreeMap::new(), progress, |_, _| {})?;
-    Ok(build_report(spec, &runs, &outputs))
-}
-
-/// Runs both campaign passes, skipping every run whose output is already
-/// present in `completed` (keyed by run index — a loaded [`Checkpoint`]'s
-/// [`Checkpoint::completed`] map, or empty for a fresh campaign).
-///
-/// Returns all runs and their outputs **in run-index order**, pass 1
-/// followed by the refinement pass. `on_result` fires on the calling
-/// thread for each *newly executed* run (completion order is
-/// scheduling-dependent) — wire periodic checkpoint saves here.
-///
-/// Because the refinement plan is a pure function of the first pass's
-/// outputs, resuming from any checkpoint reproduces the exact run list —
-/// and therefore a byte-identical report — of an uninterrupted campaign.
-pub fn run_campaign_resumable(
-    spec: &CampaignSpec,
-    jobs: usize,
-    completed: &BTreeMap<u64, RunOutput>,
-    progress: impl FnMut(usize, usize),
-    on_result: impl FnMut(&RunSpec, &RunOutput),
-) -> Result<(Vec<RunSpec>, Vec<RunOutput>), SpecError> {
-    run_campaign_resumable_with(spec, jobs, false, completed, progress, on_result)
-}
-
-/// [`run_campaign_resumable`] with the analytic fast path toggled by
-/// `fast_path` (see [`run_campaign_with`]). Each pass is one call into the
-/// run kernel's [`execute_missing`]; `progress` sees one running total
-/// that grows when the refinement pass is planned.
-pub fn run_campaign_resumable_with(
-    spec: &CampaignSpec,
-    jobs: usize,
-    fast_path: bool,
-    completed: &BTreeMap<u64, RunOutput>,
-    mut progress: impl FnMut(usize, usize),
-    mut on_result: impl FnMut(&RunSpec, &RunOutput),
-) -> Result<(Vec<RunSpec>, Vec<RunOutput>), SpecError> {
-    let pass1 = expand(spec)?;
-    let ctx = RunContext::new_with(spec, &pass1, fast_path)?;
-    let run = |r: &RunSpec| run_one(&ctx, r);
-
-    let mut base = 0;
-    let pass1_span = lazyeye_obs::trace::wall_span("campaign.pass1");
-    let mut outputs = execute_missing::<CampaignMatrix>(
-        &pass1,
-        completed,
-        jobs,
-        run,
-        |done, total| {
-            base = total;
-            progress(done, total)
-        },
-        &mut on_result,
-    )?;
-    drop(pass1_span);
-
-    let pass2 = refine::plan_refinement(spec, &pass1, &outputs);
-    forensics::on_refinement_brackets(spec, &pass2);
-    let _refine_span = lazyeye_obs::trace::wall_span("campaign.refine");
-    outputs.extend(execute_missing::<CampaignMatrix>(
-        &pass2,
-        completed,
-        jobs,
-        run,
-        |done, total| progress(base + done, base + total),
-        &mut on_result,
-    )?);
-
-    let mut runs = pass1;
-    runs.extend(pass2);
-    check_stitched::<CampaignMatrix>(completed, runs.len())?;
-    Ok((runs, outputs))
-}
-
-/// Folds `(run, output)` pairs — as returned by
-/// [`run_campaign_resumable`] — into the final report.
-pub fn build_report(
-    spec: &CampaignSpec,
-    runs: &[RunSpec],
-    outputs: &[RunOutput],
-) -> CampaignReport {
-    build_report_with(spec, runs, outputs, false)
-}
-
-/// [`build_report`] with the inference section toggled by `classify`:
-/// when set, the report additionally carries the changepoint-inferred
-/// per-client profiles, their RFC 8305 conformance verdicts, and the
-/// agreement diff between the inference-derived and the summary-derived
-/// feature matrices.
+/// Folds `(run, output)` pairs in run-index order — a finished
+/// [`lazyeye_exec::Run`]'s plan and outputs — into the final report.
+/// When `classify` is set, the report additionally carries the
+/// changepoint-inferred per-client profiles, their RFC 8305 conformance
+/// verdicts, and the agreement diff between the inference-derived and the
+/// summary-derived feature matrices.
 pub fn build_report_with(
     spec: &CampaignSpec,
     runs: &[RunSpec],
@@ -228,39 +130,6 @@ pub fn build_report_with(
     }
 }
 
-/// Finishes a campaign from stored state: executes whatever the
-/// checkpoint is missing (first pass and refinement pass), and builds the
-/// canonical report — byte-identical to an uninterrupted run.
-///
-/// This is both `--resume` (an interrupted checkpoint) and the tail of
-/// `--merge` (a union of shard partials). Missing first-pass runs are
-/// executed locally, so a merge of incomplete partials still produces the
-/// canonical report — check [`Checkpoint::missing`] first if you want to
-/// warn instead.
-pub fn finish_from_checkpoint(
-    ckpt: &Checkpoint,
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-    on_result: impl FnMut(&RunSpec, &RunOutput),
-) -> Result<CampaignReport, SpecError> {
-    finish_from_checkpoint_with(ckpt, jobs, false, progress, on_result)
-}
-
-/// [`finish_from_checkpoint`] with the inference section toggled by
-/// `classify` (see [`build_report_with`]).
-pub fn finish_from_checkpoint_with(
-    ckpt: &Checkpoint,
-    jobs: usize,
-    classify: bool,
-    progress: impl FnMut(usize, usize),
-    on_result: impl FnMut(&RunSpec, &RunOutput),
-) -> Result<CampaignReport, SpecError> {
-    ckpt.validate()?;
-    let (runs, outputs) =
-        run_campaign_resumable(&ckpt.spec, jobs, ckpt.completed(), progress, on_result)?;
-    Ok(build_report_with(&ckpt.spec, &runs, &outputs, classify))
-}
-
 // Send-safety audit: the executor moves run specs into worker threads and
 // their outputs back out. These bounds are load-bearing — a regression
 // (an Rc or raw Sim handle creeping into a spec/output type) must fail to
@@ -282,6 +151,11 @@ fn send_audit() {
 mod tests {
     use super::*;
 
+    const FAST: CampaignOptions = CampaignOptions {
+        fast_path: true,
+        classify: false,
+    };
+
     /// The ISSUE's agreement gate: the default CAD-sweep campaign must
     /// produce a byte-identical report with the fast path on. Every
     /// divergence between the analytic model and the simulator — timing,
@@ -295,7 +169,7 @@ mod tests {
             ..CampaignSpec::default()
         };
         let slow = run_campaign(&spec, 4, |_, _| {}).unwrap();
-        let fast = run_campaign_with(&spec, 4, true, |_, _| {}).unwrap();
+        let fast = lazyeye_exec::run::<CampaignMatrix>(&spec, 4, &FAST, |_, _| {}).unwrap();
         assert_eq!(slow.to_json(), fast.to_json());
         assert_eq!(slow.to_csv(), fast.to_csv());
     }
@@ -310,7 +184,7 @@ mod tests {
             ..CampaignSpec::default()
         };
         let slow = run_campaign(&spec, 4, |_, _| {}).unwrap();
-        let fast = run_campaign_with(&spec, 4, true, |_, _| {}).unwrap();
+        let fast = lazyeye_exec::run::<CampaignMatrix>(&spec, 4, &FAST, |_, _| {}).unwrap();
         assert_eq!(slow.to_json(), fast.to_json());
     }
 

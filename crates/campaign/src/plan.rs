@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use lazyeye_clients::{all_measured_clients, ClientProfile};
 use lazyeye_resolver::{all_profiles, ResolverProfile};
-use lazyeye_testbed::DelayedRecord;
+use lazyeye_testbed::{DelayedRecord, SweepSpec};
 
 use crate::spec::CampaignSpec;
 
@@ -247,10 +247,47 @@ fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The most runs `spec` can plan, saturating: its first pass plus the
+/// worst-case refinement, in which every CAD/RD cell refines its whole
+/// sweep range at `refine_step_ms`. Counted from the axis sizes alone,
+/// so a hostile spec is refused before anything is expanded.
+fn planned_runs(spec: &CampaignSpec, clients: u64, resolvers: u64, conditions: u64) -> u64 {
+    let product = |factors: &[u64]| factors.iter().fold(1u64, |n, f| n.saturating_mul(*f));
+    // Validated: steps > 0 and end >= start.
+    let values = |s: &SweepSpec, step: u64| ((s.end_ms - s.start_ms) / step).saturating_add(1);
+    let refined = |s: &SweepSpec| {
+        let worst = spec.refine_step_ms.map_or(0, |step| values(s, step));
+        values(s, s.step_ms).saturating_add(worst)
+    };
+    let cells = product(&[clients, conditions]);
+    let records = spec.rd.as_ref().map_or(0, |r| r.records.len() as u64);
+    [
+        spec.cad
+            .as_ref()
+            .map(|c| product(&[cells, refined(&c.sweep), c.repetitions.into()])),
+        spec.rd
+            .as_ref()
+            .map(|r| product(&[cells, records, refined(&r.sweep), r.repetitions.into()])),
+        spec.selection
+            .as_ref()
+            .map(|sel| product(&[cells, sel.repetitions.into()])),
+        spec.resolver.as_ref().map(|r| {
+            let sweep = values(&r.sweep, r.sweep.step_ms);
+            product(&[resolvers, conditions, sweep, r.repetitions.into()])
+        }),
+    ]
+    .into_iter()
+    .flatten()
+    .fold(0, u64::saturating_add)
+}
+
 /// Expands the spec into the concrete run list.
 ///
 /// The result is deterministic: same spec ⇒ same runs, same indices, same
 /// seeds — regardless of how many workers later execute them.
+/// A spec whose first pass plus worst-case refinement could plan more
+/// than [`lazyeye_exec::MAX_PLANNED_ITEMS`] runs is refused before any
+/// is allocated.
 pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
     validate(spec)?;
     let clients = resolve_clients(spec)?;
@@ -266,6 +303,15 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
     } else {
         netem
     };
+    lazyeye_exec::check_plan_budget(
+        planned_runs(
+            spec,
+            clients.len() as u64,
+            resolvers.len() as u64,
+            conditions.len() as u64,
+        ),
+        "runs (first pass plus worst-case refinement)",
+    )?;
 
     let mut runs = Vec::new();
     let push = |kind: RunKind, runs: &mut Vec<RunSpec>| {
@@ -431,5 +477,53 @@ mod tests {
             })
             .collect();
         assert_eq!(distinct.len(), all_measured_clients().len());
+    }
+
+    #[test]
+    fn plan_budget_counts_first_pass_plus_worst_case_refinement() {
+        // Every client, two conditions, CAD 0–400 ms in 5 ms steps × 20
+        // reps, refined at 1 ms: 81 first-pass and at most 401 refined
+        // delays per cell. Accepted.
+        let lossy = crate::spec::NetemSpec {
+            label: "lossy".into(),
+            loss_pct: 10.0,
+            ..crate::spec::NetemSpec::baseline()
+        };
+        let sweep = CampaignSpec {
+            clients: Vec::new(),
+            netem: vec![crate::spec::NetemSpec::baseline(), lossy],
+            cad: Some(lazyeye_testbed::CadCaseConfig {
+                sweep: SweepSpec::new(0, 400, 5),
+                repetitions: 20,
+            }),
+            rd: None,
+            selection: None,
+            resolver: None,
+            refine_step_ms: Some(1),
+            ..CampaignSpec::default()
+        };
+        let clients = all_measured_clients().len() as u64;
+        assert_eq!(
+            planned_runs(&sweep, clients, 0, 2),
+            clients * 2 * (81 + 401) * 20
+        );
+        assert!(expand(&sweep).is_ok());
+        assert!(expand(&CampaignSpec::default()).is_ok());
+
+        // Two first-pass runs whose refinement could plan 2·10^7 more are
+        // refused before anything is expanded.
+        let hostile = CampaignSpec {
+            clients: vec!["chrome-130.0".into()],
+            netem: Vec::new(),
+            cad: Some(lazyeye_testbed::CadCaseConfig {
+                sweep: SweepSpec::new(0, 100_000_000, 100_000_000),
+                repetitions: 1,
+            }),
+            refine_step_ms: Some(5),
+            ..sweep
+        };
+        let err = expand(&hostile).unwrap_err();
+        assert!(err.message.contains("spec plans 20000003 runs"), "{err}");
+        assert!(err.message.contains("budget of 10000000"), "{err}");
     }
 }

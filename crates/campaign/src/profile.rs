@@ -11,12 +11,11 @@
 
 use lazyeye_obs::profile::FlameGraph;
 use lazyeye_testbed::Table;
-use lazyeye_trace::profile::{attribute, Attribution, PHASES};
+use lazyeye_trace::profile::{attribute, dominant, Attribution};
 
 use crate::forensics;
 use crate::plan::RunSpec;
 use crate::spec::CampaignSpec;
-use crate::SpecError;
 
 /// One latency-budget row: a sweep cell at one configured delay, phases
 /// summed over its repetitions (integer virtual ms, exact).
@@ -37,7 +36,8 @@ pub struct BudgetRow {
     pub established: u64,
     /// Summed establishment latency of the attributable runs (ms).
     pub total_ms: u64,
-    /// Summed per-phase attribution, [`PHASES`] order.
+    /// Summed per-phase attribution, in
+    /// [`PHASES`](lazyeye_trace::profile::PHASES) order.
     pub phase_ms: [u64; 5],
 }
 
@@ -47,13 +47,7 @@ impl BudgetRow {
         if self.established == 0 {
             return "-";
         }
-        let mut best = 0usize;
-        for (i, v) in self.phase_ms.iter().enumerate() {
-            if *v > self.phase_ms[best] {
-                best = i;
-            }
-        }
-        PHASES[best]
+        dominant(&self.phase_ms)
     }
 }
 
@@ -117,24 +111,27 @@ impl LatencyBudget {
         }
         out
     }
-}
 
-/// Folds one run's attribution into the budget row for its
-/// `(case, subject, condition, delay)` cell, creating the row on first
-/// appearance. Exposed so the CLI's `profile` command can fold ad-hoc
-/// trace files with the same row semantics.
-pub fn fold_row(
-    rows: &mut Vec<BudgetRow>,
-    key: (&str, &str, &str, u64),
-    attr: Option<&Attribution>,
-) {
-    let (case, subject, condition, delay_ms) = key;
-    let row = match rows.iter_mut().find(|r| {
-        r.case == case && r.subject == subject && r.condition == condition && r.delay_ms == delay_ms
-    }) {
-        Some(r) => r,
-        None => {
-            rows.push(BudgetRow {
+    /// Folds one run into the budget: its attribution into the row for
+    /// its `(case, subject, condition, delay)` cell (created on first
+    /// appearance) and into `case;subject;condition;phase` stacks of
+    /// `flame`; a run without one counts as unattributed. The CLI's
+    /// `profile` command folds ad-hoc trace files through this too.
+    pub fn add(
+        &mut self,
+        flame: &mut FlameGraph,
+        key: (&str, &str, &str, u64),
+        attr: Option<&Attribution>,
+    ) {
+        let (case, subject, condition, delay_ms) = key;
+        let at = self.rows.iter().position(|r| {
+            r.case == case
+                && r.subject == subject
+                && r.condition == condition
+                && r.delay_ms == delay_ms
+        });
+        let at = at.unwrap_or_else(|| {
+            self.rows.push(BudgetRow {
                 case: case.to_string(),
                 subject: subject.to_string(),
                 condition: condition.to_string(),
@@ -144,15 +141,18 @@ pub fn fold_row(
                 total_ms: 0,
                 phase_ms: [0; 5],
             });
-            rows.last_mut().expect("just pushed")
-        }
-    };
-    row.runs += 1;
-    if let Some(a) = attr {
-        row.established += 1;
-        row.total_ms += a.total_ms;
-        for (slot, v) in row.phase_ms.iter_mut().zip(a.phase_values()) {
-            *slot += v;
+            self.rows.len() - 1
+        });
+        let row = &mut self.rows[at];
+        row.runs += 1;
+        match attr {
+            Some(a) => {
+                row.established += 1;
+                a.fold(&mut row.total_ms, &mut row.phase_ms, |phase, ms| {
+                    flame.add([case, subject, condition, phase], ms)
+                });
+            }
+            None => self.unattributed += 1,
         }
     }
 }
@@ -173,37 +173,13 @@ pub fn profile_runs(spec: &CampaignSpec, runs: &[RunSpec]) -> (LatencyBudget, Fl
         } else {
             attribute(&forensics::capture_trace(&p))
         };
-        if attr.is_none() {
-            budget.unattributed += 1;
-        }
-        fold_row(
-            &mut budget.rows,
+        budget.add(
+            &mut flame,
             (&p.case, &p.subject, &p.condition, p.delay_ms),
             attr.as_ref(),
         );
-        if let Some(a) = &attr {
-            for (phase, weight) in PHASES.iter().zip(a.phase_values()) {
-                flame.add(
-                    [
-                        p.case.as_str(),
-                        p.subject.as_str(),
-                        p.condition.as_str(),
-                        phase,
-                    ],
-                    weight,
-                );
-            }
-        }
     }
     (budget, flame)
-}
-
-/// Profiles the campaign's first-pass grid straight from the spec
-/// (refinement runs need execution results and are folded by the CLI via
-/// [`profile_runs`] on the executed list).
-pub fn profile_campaign(spec: &CampaignSpec) -> Result<(LatencyBudget, FlameGraph), SpecError> {
-    let runs = crate::plan::expand(spec)?;
-    Ok(profile_runs(spec, &runs))
 }
 
 /// One §5.2 stall cross-check: the inference layer's
@@ -311,6 +287,7 @@ pub fn stall_cross_checks(
 mod tests {
     use super::*;
     use lazyeye_testbed::{CadCaseConfig, SweepSpec};
+    use lazyeye_trace::profile::PHASES;
 
     fn small_spec() -> CampaignSpec {
         CampaignSpec {
@@ -331,7 +308,8 @@ mod tests {
     #[test]
     fn budget_rows_attribute_exactly_and_deterministically() {
         let spec = small_spec();
-        let (budget, flame) = profile_campaign(&spec).unwrap();
+        let runs = crate::plan::expand(&spec).unwrap();
+        let (budget, flame) = profile_runs(&spec, &runs);
         assert!(!budget.rows.is_empty());
         for r in &budget.rows {
             assert_eq!(
@@ -348,7 +326,7 @@ mod tests {
         let total: u64 = budget.rows.iter().map(|r| r.total_ms).sum();
         assert_eq!(flame.total_weight(), total);
         // Pure function of (spec, seed): a second pass is byte-identical.
-        let (b2, f2) = profile_campaign(&spec).unwrap();
+        let (b2, f2) = profile_runs(&spec, &runs);
         assert_eq!(b2, budget);
         assert_eq!(f2.render_collapsed(), flame.render_collapsed());
         // The table renders every phase column.
@@ -383,15 +361,11 @@ mod tests {
             resolver: None,
             ..CampaignSpec::default()
         };
-        let (runs, outputs) = crate::run_campaign_resumable_with(
-            &spec,
-            2,
-            false,
-            &std::collections::BTreeMap::new(),
-            |_, _| {},
-            |_, _| {},
-        )
-        .unwrap();
+        let run = crate::Checkpoint::fresh(spec.clone(), None)
+            .unwrap()
+            .run_passes(2, &crate::CampaignOptions::default(), |_, _| {}, |_, _| {})
+            .unwrap();
+        let (runs, outputs) = (run.plan, run.outputs);
         let report = crate::build_report_with(&spec, &runs, &outputs, true);
         let section = report.inference.expect("classified report");
         let checks = stall_cross_checks(&spec, &runs, &section);

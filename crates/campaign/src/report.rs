@@ -2,7 +2,8 @@
 //! folded cells plus the Table-2 style feature roll-up, the optional
 //! inference section, and report-to-report diffing.
 
-use lazyeye_infer::{fmt_opt as delta_fmt_opt, push_delta, FieldDelta, Verdict};
+use lazyeye_exec::Report;
+use lazyeye_infer::{fmt_opt, match_keyed, push_fields, Field, FieldDelta, Verdict};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
 
@@ -41,13 +42,6 @@ lazyeye_json::impl_json_struct!(CampaignReport {
     features,
     inference,
 });
-
-fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_string(),
-    }
-}
 
 /// The fixed CSV column set, shared by header and rows.
 const CSV_COLUMNS: [&str; 17] = [
@@ -113,18 +107,18 @@ impl CampaignReport {
                 c.condition.clone(),
                 c.runs.to_string(),
                 c.ok_runs.to_string(),
-                opt(&c.v6_share_pct),
-                opt(&c.last_v6_delay_ms),
-                opt(&c.first_v4_delay_ms),
-                opt(&c.delay_ms_min),
-                opt(&c.delay_ms_median),
-                opt(&c.delay_ms_p95),
-                opt(&c.implements_cad),
-                opt(&c.implements_rd),
-                opt(&c.aaaa_first),
-                opt(&c.v6_addrs_used),
-                opt(&c.v4_addrs_used),
-                opt(&c.max_v6_packets),
+                fmt_opt(&c.v6_share_pct),
+                fmt_opt(&c.last_v6_delay_ms),
+                fmt_opt(&c.first_v4_delay_ms),
+                fmt_opt(&c.delay_ms_min),
+                fmt_opt(&c.delay_ms_median),
+                fmt_opt(&c.delay_ms_p95),
+                fmt_opt(&c.implements_cad),
+                fmt_opt(&c.implements_rd),
+                fmt_opt(&c.aaaa_first),
+                fmt_opt(&c.v6_addrs_used),
+                fmt_opt(&c.v4_addrs_used),
+                fmt_opt(&c.max_v6_packets),
             ];
             // Subjects/conditions are ids without commas or quotes, but
             // quote defensively anyway.
@@ -199,35 +193,35 @@ impl CampaignReport {
                         c.condition.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.last_v6_delay_ms),
-                        opt(&c.first_v4_delay_ms),
-                        opt(&c.delay_ms_median),
-                        opt(&c.delay_ms_p95),
-                        opt(&c.aaaa_first),
+                        fmt_opt(&c.last_v6_delay_ms),
+                        fmt_opt(&c.first_v4_delay_ms),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.delay_ms_p95),
+                        fmt_opt(&c.aaaa_first),
                     ],
                     "rd" => vec![
                         c.subject.clone(),
                         c.condition.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.implements_rd),
-                        opt(&c.delay_ms_median),
-                        opt(&c.delay_ms_p95),
+                        fmt_opt(&c.implements_rd),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.delay_ms_p95),
                     ],
                     "selection" => vec![
                         c.subject.clone(),
                         c.runs.to_string(),
-                        opt(&c.v6_addrs_used),
-                        opt(&c.v4_addrs_used),
+                        fmt_opt(&c.v6_addrs_used),
+                        fmt_opt(&c.v4_addrs_used),
                     ],
                     _ => vec![
                         c.subject.clone(),
                         c.runs.to_string(),
                         c.ok_runs.to_string(),
-                        opt(&c.v6_share_pct),
-                        opt(&c.last_v6_delay_ms),
-                        opt(&c.delay_ms_median),
-                        opt(&c.max_v6_packets),
+                        fmt_opt(&c.v6_share_pct),
+                        fmt_opt(&c.last_v6_delay_ms),
+                        fmt_opt(&c.delay_ms_median),
+                        fmt_opt(&c.max_v6_packets),
                     ],
                 };
                 t.row(row);
@@ -275,7 +269,77 @@ impl InferenceSection {
     /// Text rendering of the inference section: inferred parameters, the
     /// conformance matrix, deviation reasons, and the agreement line.
     pub fn render_text(&self) -> String {
-        render_inference(self)
+        let mut out = String::new();
+        let mut t = Table::new(
+            "Inferred profiles (changepoint over the sweep grid)",
+            vec![
+                "client", "CAD est", "last v6", "first v4", "misfits", "RD", "stalls", "sorting",
+            ],
+        );
+        for p in &self.profiles {
+            let prof = &p.profile;
+            t.row(vec![
+                prof.subject.clone(),
+                fmt_opt(&prof.cad.estimate_ms),
+                fmt_opt(&prof.cad.last_v6_delay_ms),
+                fmt_opt(&prof.cad.first_v4_delay_ms),
+                prof.cad.misfits.to_string(),
+                fmt_opt(&prof.rd.implemented),
+                fmt_opt(&prof.rd.waits_for_all_answers),
+                format!("{:?}", prof.sorting),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push('\n');
+
+        if let Some(first) = self.profiles.first() {
+            let mut columns = vec!["client".to_string()];
+            columns.extend(first.conformance.iter().map(|e| e.feature.clone()));
+            let mut t = Table::new(
+                "RFC 8305 conformance",
+                columns.iter().map(String::as_str).collect(),
+            );
+            for p in &self.profiles {
+                let mut row = vec![p.profile.subject.clone()];
+                row.extend(p.conformance.iter().map(|e| {
+                    match e.verdict {
+                        Verdict::Conformant => "ok",
+                        Verdict::Deviates => "DEV",
+                        Verdict::Unmeasurable => "-",
+                    }
+                    .to_string()
+                }));
+                t.row(row);
+            }
+            out.push_str(&t.render());
+            let mut any = false;
+            for p in &self.profiles {
+                for e in &p.conformance {
+                    if e.verdict == Verdict::Deviates {
+                        if !any {
+                            out.push_str("\ndeviations:\n");
+                            any = true;
+                        }
+                        out.push_str(&format!(
+                            "  {} {}: {}\n",
+                            p.profile.subject,
+                            e.feature,
+                            e.render()
+                        ));
+                    }
+                }
+            }
+        }
+
+        if self.matrix_agrees {
+            out.push_str("\ninference vs summary feature matrix: agree\n");
+        } else {
+            out.push_str("\ninference vs summary feature matrix: DISAGREE\n");
+            for d in &self.disagreements {
+                out.push_str(&format!("  {d}\n"));
+            }
+        }
+        out
     }
 
     /// Pretty JSON rendering.
@@ -284,82 +348,6 @@ impl InferenceSection {
         out.push('\n');
         out
     }
-}
-
-/// Text rendering of the inference section: inferred parameters, the
-/// conformance matrix, deviation reasons, and the agreement line.
-fn render_inference(section: &InferenceSection) -> String {
-    let mut out = String::new();
-    let mut t = Table::new(
-        "Inferred profiles (changepoint over the sweep grid)",
-        vec![
-            "client", "CAD est", "last v6", "first v4", "misfits", "RD", "stalls", "sorting",
-        ],
-    );
-    for p in &section.profiles {
-        let prof = &p.profile;
-        t.row(vec![
-            prof.subject.clone(),
-            opt(&prof.cad.estimate_ms),
-            opt(&prof.cad.last_v6_delay_ms),
-            opt(&prof.cad.first_v4_delay_ms),
-            prof.cad.misfits.to_string(),
-            opt(&prof.rd.implemented),
-            opt(&prof.rd.waits_for_all_answers),
-            format!("{:?}", prof.sorting),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    if let Some(first) = section.profiles.first() {
-        let mut columns = vec!["client".to_string()];
-        columns.extend(first.conformance.iter().map(|e| e.feature.clone()));
-        let mut t = Table::new(
-            "RFC 8305 conformance",
-            columns.iter().map(String::as_str).collect(),
-        );
-        for p in &section.profiles {
-            let mut row = vec![p.profile.subject.clone()];
-            row.extend(p.conformance.iter().map(|e| {
-                match e.verdict {
-                    Verdict::Conformant => "ok",
-                    Verdict::Deviates => "DEV",
-                    Verdict::Unmeasurable => "-",
-                }
-                .to_string()
-            }));
-            t.row(row);
-        }
-        out.push_str(&t.render());
-        let mut any = false;
-        for p in &section.profiles {
-            for e in &p.conformance {
-                if e.verdict == Verdict::Deviates {
-                    if !any {
-                        out.push_str("\ndeviations:\n");
-                        any = true;
-                    }
-                    out.push_str(&format!(
-                        "  {} {}: {}\n",
-                        p.profile.subject,
-                        e.feature,
-                        e.render()
-                    ));
-                }
-            }
-        }
-    }
-
-    if section.matrix_agrees {
-        out.push_str("\ninference vs summary feature matrix: agree\n");
-    } else {
-        out.push_str("\ninference vs summary feature matrix: DISAGREE\n");
-        for d in &section.disagreements {
-            out.push_str(&format!("  {d}\n"));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -426,125 +414,83 @@ impl ReportDiff {
     }
 }
 
+impl Report for CampaignReport {
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
+    }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
+    }
+    fn text(&self) -> String {
+        self.render_text()
+    }
+    fn parse(text: &str) -> Result<CampaignReport, JsonError> {
+        CampaignReport::from_json_str(text)
+    }
+    fn diff(old: &CampaignReport, new: &CampaignReport, json: bool) -> String {
+        let diff = diff_reports(old, new);
+        if json {
+            diff.to_json()
+        } else {
+            diff.render_text()
+        }
+    }
+}
+
 fn cell_key(c: &CellReport) -> String {
     format!("{}/{}/{}", c.case, c.subject, c.condition)
 }
 
-fn diff_cells(key: &str, old: &CellReport, new: &CellReport, out: &mut Vec<FieldDelta>) {
-    let mut field = |name: &str, o: String, n: String| {
-        push_delta(out, format!("{key}.{name}"), o, n);
-    };
-    field("runs", old.runs.to_string(), new.runs.to_string());
-    field("ok_runs", old.ok_runs.to_string(), new.ok_runs.to_string());
-    field(
-        "v6_share_pct",
-        delta_fmt_opt(&old.v6_share_pct),
-        delta_fmt_opt(&new.v6_share_pct),
-    );
-    field(
-        "last_v6_delay_ms",
-        delta_fmt_opt(&old.last_v6_delay_ms),
-        delta_fmt_opt(&new.last_v6_delay_ms),
-    );
-    field(
-        "first_v4_delay_ms",
-        delta_fmt_opt(&old.first_v4_delay_ms),
-        delta_fmt_opt(&new.first_v4_delay_ms),
-    );
-    field(
-        "delay_ms_median",
-        delta_fmt_opt(&old.delay_ms_median),
-        delta_fmt_opt(&new.delay_ms_median),
-    );
-    field(
-        "implements_cad",
-        delta_fmt_opt(&old.implements_cad),
-        delta_fmt_opt(&new.implements_cad),
-    );
-    field(
-        "implements_rd",
-        delta_fmt_opt(&old.implements_rd),
-        delta_fmt_opt(&new.implements_rd),
-    );
-    field(
-        "aaaa_first",
-        delta_fmt_opt(&old.aaaa_first),
-        delta_fmt_opt(&new.aaaa_first),
-    );
-    field(
-        "v6_addrs_used",
-        delta_fmt_opt(&old.v6_addrs_used),
-        delta_fmt_opt(&new.v6_addrs_used),
-    );
-    field(
-        "v4_addrs_used",
-        delta_fmt_opt(&old.v4_addrs_used),
-        delta_fmt_opt(&new.v4_addrs_used),
-    );
-    field(
-        "max_v6_packets",
-        delta_fmt_opt(&old.max_v6_packets),
-        delta_fmt_opt(&new.max_v6_packets),
-    );
-}
+const CELL_FIELDS: &[Field<CellReport>] = &[
+    ("runs", |c| c.runs.to_string()),
+    ("ok_runs", |c| c.ok_runs.to_string()),
+    ("v6_share_pct", |c| fmt_opt(&c.v6_share_pct)),
+    ("last_v6_delay_ms", |c| fmt_opt(&c.last_v6_delay_ms)),
+    ("first_v4_delay_ms", |c| fmt_opt(&c.first_v4_delay_ms)),
+    ("delay_ms_median", |c| fmt_opt(&c.delay_ms_median)),
+    ("implements_cad", |c| fmt_opt(&c.implements_cad)),
+    ("implements_rd", |c| fmt_opt(&c.implements_rd)),
+    ("aaaa_first", |c| fmt_opt(&c.aaaa_first)),
+    ("v6_addrs_used", |c| fmt_opt(&c.v6_addrs_used)),
+    ("v4_addrs_used", |c| fmt_opt(&c.v4_addrs_used)),
+    ("max_v6_packets", |c| fmt_opt(&c.max_v6_packets)),
+];
+
+const FEATURE_FIELDS: &[Field<FeatureSummary>] = &[
+    ("prefers_v6", |f| f.prefers_v6.to_string()),
+    ("cad_impl", |f| f.cad_impl.to_string()),
+    ("aaaa_first", |f| f.aaaa_first.to_string()),
+    ("rd_impl", |f| f.rd_impl.to_string()),
+    ("v6_addrs_used", |f| f.v6_addrs_used.to_string()),
+    ("v4_addrs_used", |f| f.v4_addrs_used.to_string()),
+    ("addr_selection", |f| f.addr_selection.to_string()),
+];
 
 /// Diffs two campaign reports cell by cell and feature by feature,
 /// surfacing behaviour changes between client/resolver versions or
 /// campaign configurations.
 pub fn diff_reports(old: &CampaignReport, new: &CampaignReport) -> ReportDiff {
-    let mut diff = ReportDiff::default();
-    for c in &new.cells {
-        if !old.cells.iter().any(|o| cell_key(o) == cell_key(c)) {
-            diff.added_cells.push(cell_key(c));
-        }
+    let (mut changed, mut feature_changes) = (Vec::new(), Vec::new());
+    let (added, removed) = match_keyed(&old.cells, &new.cells, cell_key, |o, n| {
+        push_fields(
+            &mut changed,
+            &format!("{}.", cell_key(o)),
+            CELL_FIELDS,
+            o,
+            n,
+        )
+    });
+    let client = |f: &FeatureSummary| f.client.clone();
+    match_keyed(&old.features, &new.features, client, |o, n| {
+        let prefix = format!("{}.", o.client);
+        push_fields(&mut feature_changes, &prefix, FEATURE_FIELDS, o, n)
+    });
+    ReportDiff {
+        added_cells: added.into_iter().map(cell_key).collect(),
+        removed_cells: removed.into_iter().map(cell_key).collect(),
+        changed,
+        feature_changes,
     }
-    for c in &old.cells {
-        match new.cells.iter().find(|n| cell_key(n) == cell_key(c)) {
-            None => diff.removed_cells.push(cell_key(c)),
-            Some(n) => diff_cells(&cell_key(c), c, n, &mut diff.changed),
-        }
-    }
-    for f in &old.features {
-        let Some(n) = new.features.iter().find(|n| n.client == f.client) else {
-            continue;
-        };
-        let mut field = |name: &str, o: String, nv: String| {
-            push_delta(
-                &mut diff.feature_changes,
-                format!("{}.{name}", f.client),
-                o,
-                nv,
-            );
-        };
-        field(
-            "prefers_v6",
-            f.prefers_v6.to_string(),
-            n.prefers_v6.to_string(),
-        );
-        field("cad_impl", f.cad_impl.to_string(), n.cad_impl.to_string());
-        field(
-            "aaaa_first",
-            f.aaaa_first.to_string(),
-            n.aaaa_first.to_string(),
-        );
-        field("rd_impl", f.rd_impl.to_string(), n.rd_impl.to_string());
-        field(
-            "v6_addrs_used",
-            f.v6_addrs_used.to_string(),
-            n.v6_addrs_used.to_string(),
-        );
-        field(
-            "v4_addrs_used",
-            f.v4_addrs_used.to_string(),
-            n.v4_addrs_used.to_string(),
-        );
-        field(
-            "addr_selection",
-            f.addr_selection.to_string(),
-            n.addr_selection.to_string(),
-        );
-    }
-    diff
 }
 
 fn yn(v: bool) -> String {

@@ -5,13 +5,12 @@
 //! The trigger engine is process-global, so every test here takes
 //! `TRIGGER_LOCK` and arms its own scratch directory.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use lazyeye_campaign::plan::{RunKind, RunSpec};
 use lazyeye_campaign::{
-    build_report_with, expand, replay, run_campaign_resumable_with, run_one, CampaignSpec,
+    build_report_with, expand, replay, run_one, CampaignOptions, CampaignSpec, Checkpoint,
     RunContext, RunOutput,
 };
 use lazyeye_net::Family;
@@ -171,9 +170,15 @@ fn campaign_triggers_fire_and_replay() {
         ..CampaignSpec::default()
     };
     let dir = arm_scratch("campaign");
-    let (runs, outputs) =
-        run_campaign_resumable_with(&spec, 2, true, &BTreeMap::new(), |_, _| {}, |_, _| {})
-            .unwrap();
+    let fast = CampaignOptions {
+        fast_path: true,
+        classify: false,
+    };
+    let run = Checkpoint::fresh(spec.clone(), None)
+        .unwrap()
+        .run_passes(2, &fast, |_, _| {}, |_, _| {})
+        .unwrap();
+    let (runs, outputs) = (run.plan, run.outputs);
     build_report_with(&spec, &runs, &outputs, true);
     trigger::disarm();
 

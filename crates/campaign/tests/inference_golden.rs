@@ -3,17 +3,18 @@
 //! matrix must agree with the summary-derived Table 2 roll-up —
 //! deterministically across worker counts.
 
-use std::collections::BTreeMap;
-
 use lazyeye_campaign::{
-    build_report_with, run_campaign_resumable, CampaignSpec, InferredClientReport,
+    build_report_with, CampaignOptions, CampaignSpec, Checkpoint, InferredClientReport,
 };
 use lazyeye_infer::{SortingPolicy, Verdict};
 
 fn classified_default(jobs: usize) -> lazyeye_campaign::CampaignReport {
     let spec = CampaignSpec::default();
-    let (runs, outputs) =
-        run_campaign_resumable(&spec, jobs, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+    let run = Checkpoint::fresh(spec.clone(), None)
+        .unwrap()
+        .run_passes(jobs, &CampaignOptions::default(), |_, _| {}, |_, _| {})
+        .unwrap();
+    let (runs, outputs) = (run.plan, run.outputs);
     build_report_with(&spec, &runs, &outputs, true)
 }
 

@@ -2,11 +2,9 @@
 //! detected switchover to the refine step, and neither a kill/resume nor
 //! a shard/merge split changes a single report byte.
 
-use std::collections::BTreeMap;
-
 use lazyeye_campaign::{
-    expand, finish_from_checkpoint, merge, run_campaign, run_campaign_resumable, CampaignSpec,
-    Checkpoint, NetemSpec, RdPlan, Shard,
+    expand, merge, run_campaign, CampaignOptions, CampaignSpec, Checkpoint, NetemSpec, RdPlan,
+    Shard,
 };
 use lazyeye_testbed::{switchover_bracket, CadCaseConfig, DelayedRecord, SweepSpec};
 
@@ -77,24 +75,28 @@ fn resume_after_kill_reproduces_the_report_byte_for_byte() {
     let kill_after = 7;
     let pass1_runs = expand(&spec).unwrap().len() as u64;
     let mut ckpt = Checkpoint::new(spec.clone(), pass1_runs, None);
-    let _ = run_campaign_resumable(
-        &spec,
-        4,
-        &BTreeMap::new(),
-        |_, _| {},
-        |run, out| {
-            if ckpt.completed_count() < kill_after {
-                ckpt.record(run.index, out.clone());
-            }
-        },
-    )
-    .unwrap();
+    let _ = Checkpoint::fresh(spec.clone(), None)
+        .unwrap()
+        .run_passes(
+            4,
+            &CampaignOptions::default(),
+            |_, _| {},
+            |run, out| {
+                if ckpt.completed_count() < kill_after {
+                    ckpt.record(run.index, out.clone());
+                }
+            },
+        )
+        .unwrap();
     assert_eq!(ckpt.completed_count(), kill_after);
 
     // The checkpoint survives a disk round-trip, then finishes the
     // campaign: the report must not differ in a single byte.
     let reloaded = Checkpoint::from_json_str(&ckpt.to_json_string()).unwrap();
-    let resumed = finish_from_checkpoint(&reloaded, 4, |_, _| {}, |_, _| {}).unwrap();
+    let resumed = reloaded
+        .finish(4, &CampaignOptions::default(), false, |_, _| {}, |_, _| {})
+        .unwrap()
+        .0;
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
     assert_eq!(resumed.to_csv(), uninterrupted.to_csv());
     assert_eq!(resumed.render_text(), uninterrupted.render_text());
@@ -106,8 +108,11 @@ fn resume_can_span_both_passes() {
     // too, because the resumed plan re-derives the identical fine sweep.
     let spec = coarse_spec(13);
     let uninterrupted = run_campaign(&spec, 2, |_, _| {}).unwrap();
-    let (runs, outputs) =
-        run_campaign_resumable(&spec, 2, &BTreeMap::new(), |_, _| {}, |_, _| {}).unwrap();
+    let run = Checkpoint::fresh(spec.clone(), None)
+        .unwrap()
+        .run_passes(2, &CampaignOptions::default(), |_, _| {}, |_, _| {})
+        .unwrap();
+    let (runs, outputs) = (run.plan, run.outputs);
     assert!(
         runs.iter().any(|r| r.refined),
         "spec must produce refine runs for this test to bite"
@@ -120,7 +125,10 @@ fn resume_can_span_both_passes() {
     for (run, out) in runs.iter().zip(&outputs).take(runs.len() - 2) {
         ckpt.record(run.index, out.clone());
     }
-    let resumed = finish_from_checkpoint(&ckpt, 2, |_, _| {}, |_, _| {}).unwrap();
+    let resumed = ckpt
+        .finish(2, &CampaignOptions::default(), false, |_, _| {}, |_, _| {})
+        .unwrap()
+        .0;
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
 }
 
@@ -142,7 +150,10 @@ fn shard_and_merge_reproduces_the_report_byte_for_byte() {
 
     let merged = merge(partials).unwrap();
     assert!(merged.missing().is_empty(), "shards cover pass 1");
-    let report = finish_from_checkpoint(&merged, 4, |_, _| {}, |_, _| {}).unwrap();
+    let report = merged
+        .finish(4, &CampaignOptions::default(), false, |_, _| {}, |_, _| {})
+        .unwrap()
+        .0;
     assert_eq!(report.to_json(), single.to_json());
     assert_eq!(report.to_csv(), single.to_csv());
 }
@@ -181,7 +192,7 @@ fn shard_resume_skips_its_own_completed_count() {
 
 #[test]
 fn merge_of_incomplete_partials_backfills_deterministically() {
-    // One shard missing entirely: finish_from_checkpoint executes the
+    // One shard missing entirely: the kernel's finish executes the
     // gap locally and the canonical report still comes out.
     let spec = coarse_spec(23);
     let single = run_campaign(&spec, 1, |_, _| {}).unwrap();
@@ -196,7 +207,10 @@ fn merge_of_incomplete_partials_backfills_deterministically() {
     .unwrap();
     let merged = merge([part0]).unwrap();
     assert!(!merged.missing().is_empty());
-    let report = finish_from_checkpoint(&merged, 2, |_, _| {}, |_, _| {}).unwrap();
+    let report = merged
+        .finish(2, &CampaignOptions::default(), false, |_, _| {}, |_, _| {})
+        .unwrap()
+        .0;
     assert_eq!(report.to_json(), single.to_json());
 }
 

@@ -15,13 +15,15 @@
 //!   scheduling.
 //! - [`Shard`] — the `--shard i/n` arithmetic (`index % n == i`) both
 //!   CLIs use for multi-machine splits, with its JSON mapping.
-//! - The run kernel ([`Matrix`], [`Partial`], [`merge`],
-//!   [`execute_missing`], [`check_stitched`]) — one resumable, shardable
-//!   sweep state, its validation on load, its stitch and its shard
-//!   runner, shared by both engines.
+//! - The run kernel ([`Matrix`], [`Engine`], [`Partial`], [`merge`],
+//!   [`run`]) — one resumable, shardable sweep state, its validation on
+//!   load, the one multi-pass driver with its stitch, the shard runner,
+//!   and the finish from a partial to a report and latency profile,
+//!   shared by both engines. [`MAX_PLANNED_ITEMS`] bounds every plan.
 //!
-//! The engines keep their domain glue (plans, run context, output codec,
-//! reports); everything scheduling- and resumption-related lives here.
+//! The engines keep their domain glue (plans, later-pass rule, run
+//! context, output codec, report fold, diff and profile); everything
+//! scheduling- and resumption-related lives here.
 
 //! **Arena reuse.** Worker threads live for the whole `execute_indexed`
 //! call, and the simulator keeps a per-thread `lazyeye_sim::SimPool`:
@@ -37,7 +39,24 @@
 
 mod partial;
 
-pub use partial::{check_stitched, execute_missing, merge, Matrix, Partial};
+pub use partial::{merge, run, Engine, Matrix, Partial, Profile, Report, Run};
+
+/// The most items one run may plan: each engine's spec validation
+/// rejects a spec whose first pass plus worst-case later passes exceed
+/// it, before anything is allocated for them.
+pub const MAX_PLANNED_ITEMS: u64 = 10_000_000;
+
+/// Errors when `planned` items exceed [`MAX_PLANNED_ITEMS`]; `items`
+/// names what they are (e.g. `"runs (first pass plus worst-case
+/// refinement)"`).
+pub fn check_plan_budget(planned: u64, items: &str) -> Result<(), String> {
+    if planned > MAX_PLANNED_ITEMS {
+        return Err(format!(
+            "spec plans {planned} {items}, over the budget of {MAX_PLANNED_ITEMS}"
+        ));
+    }
+    Ok(())
+}
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,18 +1,21 @@
 //! The resumable, shardable run kernel both engines share.
 //!
 //! An engine describes itself as a [`Matrix`]: a spec that expands into
-//! index-addressed items, how to run one item, and the JSON codec for one
-//! item's output. Everything about resuming and splitting a sweep lives
-//! here, once:
+//! index-addressed items, how to run one item, which later passes follow
+//! the first, and the JSON codec for one item's output. As an [`Engine`]
+//! it also folds a finished run into its [`Report`] and latency profile.
+//! Everything between "spec" and "finished report" lives here, once:
 //!
 //! - [`Partial`] — how far a sweep got: the spec (so a resume or merge
 //!   can verify it continues the *same* sweep), the planned first-pass
 //!   item count, an optional [`Shard`], and the completed outputs keyed
 //!   by item index. Saves are atomic (temp file + rename).
 //! - [`merge`] — unions disjoint partials of one spec.
-//! - [`execute_missing`] — runs the items a partial lacks and stitches
-//!   the stored outputs back in, in item order. A multi-pass engine calls
-//!   it once per pass.
+//! - [`Partial::run_passes`] — the one multi-pass driver: plans the
+//!   sweep, runs every pass the engine asks for, skips the items the
+//!   partial already holds and stitches them back in, in item order.
+//! - [`Partial::finish`] / [`run`] — the driver plus the engine's report
+//!   fold and, on request, its latency profile.
 //! - [`Partial::run_shard`] — executes one shard's slice of the first
 //!   pass into a partial.
 //!
@@ -20,12 +23,14 @@
 //! anything iterates it ([`Partial::load`]): the planned count must be
 //! the spec's expansion, a shard's stored indices must lie inside the
 //! plan and belong to the shard, and every stored output must match the
-//! kind of the item it is stitched to. Hostile files fail with an error.
+//! kind of the item it is stitched to. Hostile files fail with an error,
+//! and a spec over [`crate::MAX_PLANNED_ITEMS`] fails to plan.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
+use lazyeye_obs::profile::FlameGraph;
 
 use crate::{execute_indexed_with, Shard};
 
@@ -36,7 +41,8 @@ const VERSION: u64 = 1;
 pub trait Matrix: Clone + std::fmt::Debug {
     /// The declarative spec a partial belongs to.
     type Spec: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson;
-    /// The expanded first pass, plus whatever the run context borrows.
+    /// The expanded first pass (grown by later passes once a run
+    /// finishes), plus whatever the run context borrows.
     type Plan;
     /// One index-addressed unit of work.
     type Item: Sync;
@@ -48,20 +54,41 @@ pub trait Matrix: Clone + std::fmt::Debug {
         Self: 'a;
     /// The engine's error type.
     type Error: From<String> + std::fmt::Display;
+    /// Engine-specific run options, passed through to the engine's hooks
+    /// unread. Shard runs use the default.
+    type Options: Default;
     /// JSON key of the planned first-pass count in the on-disk form.
     const COUNT_KEY: &'static str;
     /// Singular noun for one item, used in error messages.
     const ITEM: &'static str;
+    /// Wall-span names of the passes, first pass first; passes past the
+    /// end of the list run without a span.
+    const PASS_SPANS: &'static [&'static str] = &[];
 
     /// Expands the spec's first pass.
     fn plan(spec: &Self::Spec) -> Result<Self::Plan, Self::Error>;
-    /// The first-pass items, in index order.
+    /// The plan's items, in index order: the first pass, plus the later
+    /// passes once [`Matrix::extend`] added them.
     fn items(plan: &Self::Plan) -> &[Self::Item];
+    /// Appends a finished run's later-pass items to its plan.
+    fn extend(plan: &mut Self::Plan, later: Vec<Self::Item>);
     /// Builds the worker context for `plan`.
     fn context<'a>(
         spec: &'a Self::Spec,
         plan: &'a Self::Plan,
+        opts: &Self::Options,
     ) -> Result<Self::Context<'a>, Self::Error>;
+    /// The pass after the first `passes` ones, planned from their
+    /// `outputs` (item order), or `None` once the run is complete.
+    /// Single-pass engines keep the default.
+    fn next_pass(
+        _spec: &Self::Spec,
+        _plan: &Self::Plan,
+        _passes: usize,
+        _outputs: &[Self::Output],
+    ) -> Option<Vec<Self::Item>> {
+        None
+    }
     /// Runs one item.
     fn run(ctx: &Self::Context<'_>, item: &Self::Item) -> Self::Output;
     /// The item's index in its sweep.
@@ -72,6 +99,61 @@ pub trait Matrix: Clone + std::fmt::Debug {
     fn output_to_json(output: &Self::Output) -> Json;
     /// Parses one output back.
     fn output_from_json(v: &Json) -> Result<Self::Output, JsonError>;
+}
+
+/// An engine's finished report: its JSON, CSV and text forms, its JSON
+/// form read back, and the behaviour changes between two reports.
+pub trait Report: Sized {
+    /// Appends the JSON form to `out`.
+    fn json_into(&self, out: &mut String);
+    /// Appends the CSV form to `out`.
+    fn csv_into(&self, out: &mut String);
+    /// The text form.
+    fn text(&self) -> String;
+    /// Parses a report from its JSON form.
+    fn parse(text: &str) -> Result<Self, JsonError>;
+    /// The behaviour changes from `old` to `new`, rendered as JSON when
+    /// `json` is set, else as text.
+    fn diff(old: &Self, new: &Self, json: bool) -> String;
+}
+
+/// A latency-budget table (rendered) and its flame graph.
+pub type Profile = (String, FlameGraph);
+
+/// A [`Matrix`] that folds a finished run into a report.
+pub trait Engine: Matrix {
+    /// The engine's name, also the tag of its front end's stderr lines.
+    const NAME: &'static str;
+    /// The engine's report.
+    type Report: Report;
+
+    /// Folds a finished run into the report.
+    fn report(spec: &Self::Spec, run: &Run<Self>, opts: &Self::Options) -> Self::Report;
+    /// Attributes the latency of a finished run's plan. A pure function
+    /// of (spec, plan), like the report.
+    fn profile(spec: &Self::Spec, plan: &Self::Plan) -> Profile;
+}
+
+/// A finished run: the plan grown by every later pass, and one output
+/// per item, in item order.
+pub struct Run<M: Matrix> {
+    /// Every pass's items.
+    pub plan: M::Plan,
+    /// One output per item of [`Run::plan`].
+    pub outputs: Vec<M::Output>,
+}
+
+/// Runs `spec` from scratch through every pass and folds its report.
+/// `progress` receives `(finished, total)` after every item; the total
+/// grows as later passes are planned.
+pub fn run<E: Engine>(
+    spec: &E::Spec,
+    jobs: usize,
+    opts: &E::Options,
+    progress: impl FnMut(usize, usize),
+) -> Result<E::Report, E::Error> {
+    let part = Partial::<E>::fresh(spec.clone(), None)?;
+    Ok(part.finish(jobs, opts, false, progress, |_, _| {})?.0)
 }
 
 fn err<M: Matrix>(message: impl Into<String>) -> M::Error {
@@ -137,7 +219,7 @@ impl<M: Matrix> Partial<M> {
     /// stitching them onto a reindexed plan would silently corrupt the
     /// report. A shard's outputs must lie inside the plan and belong to
     /// the shard; an unsharded state may also hold later-pass outputs,
-    /// which [`check_stitched`] accounts for once the run is planned.
+    /// which [`Partial::run_passes`] accounts for once the run is planned.
     pub fn validate_shape(&self, planned: u64) -> Result<(), M::Error> {
         if self.planned != planned {
             return Err(err::<M>(format!(
@@ -172,11 +254,6 @@ impl<M: Matrix> Partial<M> {
             ))),
             None => Ok(()),
         }
-    }
-
-    /// [`Partial::validate_shape`] against the spec's own expansion.
-    pub fn validate(&self) -> Result<(), M::Error> {
-        self.validate_shape(M::items(&M::plan(&self.spec)?).len() as u64)
     }
 
     /// Serialises the state to pretty JSON.
@@ -263,8 +340,77 @@ impl<M: Matrix> Partial<M> {
     pub fn load(path: &str) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let part = Self::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        part.validate().map_err(|e| format!("{path}: {e}"))?;
+        // The planned count must be the spec's own expansion.
+        M::plan(&part.spec)
+            .and_then(|plan| part.validate_shape(M::items(&plan).len() as u64))
+            .map_err(|e| format!("{path}: {e}"))?;
         Ok(part)
+    }
+
+    /// The one multi-pass driver: plans the sweep, runs the first pass
+    /// and every later pass [`Matrix::next_pass`] plans, and returns all
+    /// items and outputs in item order. Items this partial already holds
+    /// are kind-checked and stitched back in instead of run. `progress`
+    /// sees one running total that grows with each pass; `on_result`
+    /// fires on the calling thread for every fresh item, in completion
+    /// order (side channels only, never report bytes).
+    ///
+    /// Each later pass is a pure function of the outputs before it, so a
+    /// resumed or merged partial reproduces the uninterrupted run item
+    /// for item.
+    pub fn run_passes(
+        &self,
+        jobs: usize,
+        opts: &M::Options,
+        mut progress: impl FnMut(usize, usize),
+        mut on_result: impl FnMut(&M::Item, &M::Output),
+    ) -> Result<Run<M>, M::Error> {
+        let spec = &self.spec;
+        let mut plan = M::plan(spec)?;
+        self.validate_shape(M::items(&plan).len() as u64)?;
+        let mut later: Vec<M::Item> = Vec::new();
+        let mut outputs: Vec<M::Output> = Vec::new();
+        {
+            let ctx = M::context(spec, &plan, opts)?;
+            let (mut pass, mut passes, mut base) = (M::items(&plan), 0, 0);
+            loop {
+                let span = M::PASS_SPANS
+                    .get(passes)
+                    .and_then(|name| lazyeye_obs::trace::wall_span(*name));
+                let mut planned = 0;
+                outputs.extend(execute_missing::<M>(
+                    pass,
+                    &self.outputs,
+                    jobs,
+                    |item| M::run(&ctx, item),
+                    |done, total| {
+                        planned = total;
+                        progress(base + done, base + total)
+                    },
+                    &mut on_result,
+                )?);
+                drop(span);
+                base += planned;
+                passes += 1;
+                let Some(next) = M::next_pass(spec, &plan, passes, &outputs) else {
+                    break;
+                };
+                let start = later.len();
+                later.extend(next);
+                pass = &later[start..];
+            }
+        }
+        M::extend(&mut plan, later);
+        // An output no pass stitched lies past the fully planned run.
+        let total = M::items(&plan).len();
+        if let Some((index, _)) = self.outputs.range(total as u64..).next() {
+            return Err(err::<M>(format!(
+                "stored output for {} {index} lies outside the {total}-{} plan",
+                M::ITEM,
+                M::ITEM
+            )));
+        }
+        Ok(Run { plan, outputs })
     }
 
     /// Executes one shard of `spec`'s first pass — items with
@@ -301,7 +447,7 @@ impl<M: Matrix> Partial<M> {
             }
             None => Self::new(spec.clone(), items.len() as u64, Some(shard)),
         };
-        let ctx = M::context(spec, &plan)?;
+        let ctx = M::context(spec, &plan, &M::Options::default())?;
         let stored = part.outputs.clone();
         execute_missing::<M>(
             items.iter().filter(|item| shard.owns(M::index(item))),
@@ -315,6 +461,25 @@ impl<M: Matrix> Partial<M> {
             },
         )?;
         Ok(part)
+    }
+}
+
+impl<E: Engine> Partial<E> {
+    /// Runs whatever this partial lacks through every pass
+    /// ([`Partial::run_passes`]) and folds the report, plus the latency
+    /// profile when `profile` is set. Resume, merge and fresh runs all
+    /// finish here, so their reports are byte-identical.
+    pub fn finish(
+        &self,
+        jobs: usize,
+        opts: &E::Options,
+        profile: bool,
+        progress: impl FnMut(usize, usize),
+        on_result: impl FnMut(&E::Item, &E::Output),
+    ) -> Result<(E::Report, Option<Profile>), E::Error> {
+        let run = self.run_passes(jobs, opts, progress, on_result)?;
+        let report = E::report(&self.spec, &run, opts);
+        Ok((report, profile.then(|| E::profile(&self.spec, &run.plan))))
     }
 }
 
@@ -357,7 +522,7 @@ pub fn merge<M: Matrix>(
 /// `progress` receives `(finished, pending)` for this call's fresh items;
 /// `on_result` fires on the calling thread for each fresh item, in
 /// completion order (side channels only, never report bytes).
-pub fn execute_missing<'i, M: Matrix>(
+fn execute_missing<'i, M: Matrix>(
     items: impl IntoIterator<Item = &'i M::Item>,
     completed: &BTreeMap<u64, M::Output>,
     jobs: usize,
@@ -401,20 +566,4 @@ where
             None => fresh.next().expect("one fresh output per pending item"),
         })
         .collect())
-}
-
-/// Errors when `completed` holds an output at or past `total`, the item
-/// count of a fully planned run: an output no pass stitched.
-pub fn check_stitched<M: Matrix>(
-    completed: &BTreeMap<u64, M::Output>,
-    total: usize,
-) -> Result<(), M::Error> {
-    match completed.range(total as u64..).next() {
-        Some((index, _)) => Err(err::<M>(format!(
-            "stored output for {} {index} lies outside the {total}-{} plan",
-            M::ITEM,
-            M::ITEM
-        ))),
-        None => Ok(()),
-    }
 }

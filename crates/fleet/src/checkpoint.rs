@@ -5,11 +5,16 @@
 //! A partial is small by construction: a session output is a few dozen
 //! bytes (per-tier family characters), so shipping shard partials
 //! between machines costs kilobytes even for large populations.
+//!
+//! As an [`Engine`] the fleet also folds a finished run into its report
+//! and per-member probe profile; it has no later passes.
 
-use lazyeye_exec::{Matrix, Partial};
+use lazyeye_exec::{Engine, Matrix, Partial, Profile, Run};
 use lazyeye_json::{Json, JsonError};
 
 use crate::plan::{expand, FleetPlan, SessionKind, SessionSpec};
+use crate::profile::profile_fleet_plan;
+use crate::report::{build_report, FleetReport};
 use crate::session::{
     output_from_json, output_to_json, run_session, SessionContext, SessionOutput,
 };
@@ -30,6 +35,7 @@ impl Matrix for FleetMatrix {
     type Output = SessionOutput;
     type Context<'a> = SessionContext<'a>;
     type Error = String;
+    type Options = ();
     const COUNT_KEY: &'static str = "total_sessions";
     const ITEM: &'static str = "session";
 
@@ -41,7 +47,15 @@ impl Matrix for FleetMatrix {
         &plan.sessions
     }
 
-    fn context<'a>(spec: &'a FleetSpec, plan: &'a FleetPlan) -> Result<SessionContext<'a>, String> {
+    fn extend(plan: &mut FleetPlan, later: Vec<SessionSpec>) {
+        plan.sessions.extend(later);
+    }
+
+    fn context<'a>(
+        spec: &'a FleetSpec,
+        plan: &'a FleetPlan,
+        _: &(),
+    ) -> Result<SessionContext<'a>, String> {
         Ok(SessionContext::new(spec, &plan.members))
     }
 
@@ -72,6 +86,21 @@ impl Matrix for FleetMatrix {
 
     fn output_from_json(v: &Json) -> Result<SessionOutput, JsonError> {
         output_from_json(v)
+    }
+}
+
+impl Engine for FleetMatrix {
+    const NAME: &'static str = "fleet";
+    type Report = FleetReport;
+
+    fn report(spec: &FleetSpec, run: &Run<Self>, _: &()) -> FleetReport {
+        build_report(spec, &run.plan, &run.outputs)
+    }
+
+    /// Per-member probe attribution: a pure function of (spec, seed).
+    fn profile(spec: &FleetSpec, plan: &FleetPlan) -> Profile {
+        let (budget, flame) = profile_fleet_plan(spec, plan);
+        (budget.render_text(), flame)
     }
 }
 

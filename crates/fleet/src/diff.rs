@@ -7,13 +7,15 @@
 //! Reuses `lazyeye-infer`'s typed [`FieldDelta`] machinery, like
 //! `lazyeye campaign --diff` does for campaign reports.
 
-use lazyeye_infer::{diff_profiles, fmt_opt, push_delta, FieldDelta};
+use lazyeye_infer::{
+    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, Field, FieldDelta,
+};
 use lazyeye_json::ToJson;
 
-use crate::report::{FleetReport, MemberReport, ResolverCheckReport};
+use crate::report::{FleetReport, FleetSummary, MemberReport, ResolverCheckReport};
 
 /// The behaviour changes between two fleet reports.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetDiff {
     /// Member keys (`member [condition]`) present only in the new report.
     pub added: Vec<String>,
@@ -41,70 +43,39 @@ fn member_key(m: &MemberReport) -> String {
     format!("{} [{}]", m.member, m.condition)
 }
 
-/// Per-member behaviour deltas: the Figure-4 grid, the CAD bracket/point,
-/// the RD verdict, the inferred profile (via [`diff_profiles`]) and the
-/// per-feature RFC 8305 verdicts.
-fn diff_members(old: &MemberReport, new: &MemberReport) -> Vec<FieldDelta> {
-    let mut out = Vec::new();
-    push_delta(&mut out, "grid", old.grid.clone(), new.grid.clone());
-    push_delta(
-        &mut out,
-        "rd_grid",
-        old.rd_grid.clone(),
-        new.rd_grid.clone(),
-    );
-    push_delta(
-        &mut out,
-        "cad_last_v6_ms",
-        fmt_opt(&old.cad_last_v6_ms),
-        fmt_opt(&new.cad_last_v6_ms),
-    );
-    push_delta(
-        &mut out,
-        "cad_first_v4_ms",
-        fmt_opt(&old.cad_first_v4_ms),
-        fmt_opt(&new.cad_first_v4_ms),
-    );
-    push_delta(
-        &mut out,
-        "cad_point_ms",
-        fmt_opt(&old.cad_point_ms),
-        fmt_opt(&new.cad_point_ms),
-    );
-    push_delta(
-        &mut out,
-        "cad_dynamic",
-        old.cad_dynamic.to_string(),
-        new.cad_dynamic.to_string(),
-    );
-    push_delta(
-        &mut out,
-        "rd_verdict",
-        old.rd_verdict.clone(),
-        new.rd_verdict.clone(),
-    );
-    push_delta(
-        &mut out,
-        "agrees_with_known",
-        old.agreement.agrees.to_string(),
-        new.agreement.agrees.to_string(),
-    );
+const MEMBER_FIELDS: &[Field<MemberReport>] = &[
+    ("grid", |m| m.grid.clone()),
+    ("rd_grid", |m| m.rd_grid.clone()),
+    ("cad_last_v6_ms", |m| fmt_opt(&m.cad_last_v6_ms)),
+    ("cad_first_v4_ms", |m| fmt_opt(&m.cad_first_v4_ms)),
+    ("cad_point_ms", |m| fmt_opt(&m.cad_point_ms)),
+    ("cad_dynamic", |m| m.cad_dynamic.to_string()),
+    ("rd_verdict", |m| m.rd_verdict.clone()),
+    ("agrees_with_known", |m| m.agreement.agrees.to_string()),
+];
+
+/// Pushes one member's behaviour deltas, prefixed with its key: the
+/// Figure-4 grid, the CAD bracket/point, the RD verdict, the inferred
+/// profile (via [`diff_profiles`]) and the per-feature RFC 8305 verdicts.
+fn diff_member(out: &mut Vec<FieldDelta>, old: &MemberReport, new: &MemberReport) {
+    let prefix = format!("{}.", member_key(old));
+    push_fields(out, &prefix, MEMBER_FIELDS, old, new);
     for delta in diff_profiles(&old.inferred, &new.inferred) {
         out.push(FieldDelta {
-            field: format!("inferred.{}", delta.field),
+            field: format!("{prefix}inferred.{}", delta.field),
             ..delta
         });
     }
     // Conformance verdicts, matched by feature name (symmetric: a
     // feature present on either side only still produces a delta).
-    diff_conformance(&mut out, &old.conformance, &new.conformance);
-    out
+    diff_conformance(out, &prefix, &old.conformance, &new.conformance);
 }
 
 /// Pushes a delta per conformance feature that changed, appeared (`-` →
-/// verdict) or disappeared (verdict → `-`).
+/// verdict) or disappeared (verdict → `-`), prefixed with `prefix`.
 fn diff_conformance(
     out: &mut Vec<FieldDelta>,
+    prefix: &str,
     old: &[lazyeye_infer::ConformanceEntry],
     new: &[lazyeye_infer::ConformanceEntry],
 ) {
@@ -116,7 +87,7 @@ fn diff_conformance(
             .unwrap_or_else(|| "-".to_string());
         push_delta(
             out,
-            format!("conformance.{}", e_new.feature),
+            format!("{prefix}conformance.{}", e_new.feature),
             old_v,
             e_new.render(),
         );
@@ -125,7 +96,7 @@ fn diff_conformance(
         if !new.iter().any(|e| e.feature == e_old.feature) {
             push_delta(
                 out,
-                format!("conformance.{}", e_old.feature),
+                format!("{prefix}conformance.{}", e_old.feature),
                 e_old.render(),
                 "-".to_string(),
             );
@@ -133,69 +104,40 @@ fn diff_conformance(
     }
 }
 
-fn diff_resolver_checks(old: &ResolverCheckReport, new: &ResolverCheckReport) -> Vec<FieldDelta> {
-    let mut out = Vec::new();
-    push_delta(
-        &mut out,
-        "capable_share",
-        format!("{}/{}", old.capable, old.runs),
-        format!("{}/{}", new.capable, new.runs),
-    );
-    push_delta(
-        &mut out,
-        "aaaa_first_share_pct",
-        fmt_opt(&old.aaaa_first_share_pct),
-        fmt_opt(&new.aaaa_first_share_pct),
-    );
-    diff_conformance(&mut out, &old.conformance, &new.conformance);
-    out
-}
+const RESOLVER_FIELDS: &[Field<ResolverCheckReport>] = &[
+    ("capable_share", |r| format!("{}/{}", r.capable, r.runs)),
+    ("aaaa_first_share_pct", |r| fmt_opt(&r.aaaa_first_share_pct)),
+];
+
+const SUMMARY_FIELDS: &[Field<FleetSummary>] = &[
+    ("all_fixed_cad_bracketed", |s| {
+        s.all_fixed_cad_bracketed.to_string()
+    }),
+    ("all_dynamic_cad_flagged", |s| {
+        s.all_dynamic_cad_flagged.to_string()
+    }),
+    ("agreeing_members", |s| {
+        format!("{}/{}", s.agreeing_members, s.members)
+    }),
+];
 
 /// Diffs two fleet reports: membership changes, per-member behaviour
 /// deltas, resolver-check deltas and summary deltas.
 pub fn diff_fleet_reports(old: &FleetReport, new: &FleetReport) -> FleetDiff {
-    let mut diff = FleetDiff {
-        added: Vec::new(),
-        removed: Vec::new(),
-        changed: Vec::new(),
-        resolver_changed: Vec::new(),
-        summary_changed: Vec::new(),
-    };
-    for m in &new.members {
-        if !old
-            .members
-            .iter()
-            .any(|o| o.member == m.member && o.condition == m.condition)
-        {
-            diff.added.push(member_key(m));
-        }
-    }
-    for o in &old.members {
-        match new
-            .members
-            .iter()
-            .find(|m| m.member == o.member && m.condition == o.condition)
-        {
-            None => diff.removed.push(member_key(o)),
-            Some(m) => {
-                for delta in diff_members(o, m) {
-                    diff.changed.push(FieldDelta {
-                        field: format!("{}.{}", member_key(o), delta.field),
-                        ..delta
-                    });
-                }
-            }
-        }
-    }
+    let mut diff = FleetDiff::default();
+    let identity = |m: &MemberReport| (m.member.clone(), m.condition.clone());
+    let (added, removed) = match_keyed(&old.members, &new.members, identity, |o, n| {
+        diff_member(&mut diff.changed, o, n)
+    });
+    diff.added = added.into_iter().map(member_key).collect();
+    diff.removed = removed.into_iter().map(member_key).collect();
     for o in &old.resolver_checks {
         match new.resolver_checks.iter().find(|n| n.stack == o.stack) {
             Some(n) => {
-                for delta in diff_resolver_checks(o, n) {
-                    diff.resolver_changed.push(FieldDelta {
-                        field: format!("{}.{}", o.stack, delta.field),
-                        ..delta
-                    });
-                }
+                let prefix = format!("{}.", o.stack);
+                let out = &mut diff.resolver_changed;
+                push_fields(out, &prefix, RESOLVER_FIELDS, o, n);
+                diff_conformance(out, &prefix, &o.conformance, &n.conformance);
             }
             // A stack that stopped being checked is itself a change.
             None => push_delta(
@@ -216,26 +158,8 @@ pub fn diff_fleet_reports(old: &FleetReport, new: &FleetReport) -> FleetDiff {
             );
         }
     }
-    let s_old = &old.summary;
-    let s_new = &new.summary;
-    push_delta(
-        &mut diff.summary_changed,
-        "all_fixed_cad_bracketed",
-        s_old.all_fixed_cad_bracketed.to_string(),
-        s_new.all_fixed_cad_bracketed.to_string(),
-    );
-    push_delta(
-        &mut diff.summary_changed,
-        "all_dynamic_cad_flagged",
-        s_old.all_dynamic_cad_flagged.to_string(),
-        s_new.all_dynamic_cad_flagged.to_string(),
-    );
-    push_delta(
-        &mut diff.summary_changed,
-        "agreeing_members",
-        format!("{}/{}", s_old.agreeing_members, s_old.members),
-        format!("{}/{}", s_new.agreeing_members, s_new.members),
-    );
+    let out = &mut diff.summary_changed;
+    push_fields(out, "", SUMMARY_FIELDS, &old.summary, &new.summary);
     diff
 }
 
@@ -280,18 +204,6 @@ impl FleetDiff {
         }
         out
     }
-}
-
-/// Parses a fleet report from JSON text (shared by the CLI's `--diff`).
-pub fn parse_report(text: &str) -> Result<FleetReport, String> {
-    FleetReport::from_json_str(text).map_err(|e| e.to_string())
-}
-
-/// Convenience: parse two JSON reports and diff them.
-pub fn diff_report_strs(old: &str, new: &str) -> Result<FleetDiff, String> {
-    let old = parse_report(old).map_err(|e| format!("old report: {e}"))?;
-    let new = parse_report(new).map_err(|e| format!("new report: {e}"))?;
-    Ok(diff_fleet_reports(&old, &new))
 }
 
 #[cfg(test)]
@@ -399,7 +311,9 @@ mod tests {
     fn json_report_strings_roundtrip_through_diff() {
         let report = run_fleet(&small_spec(5), 2, |_, _| {}).unwrap();
         let text = report.to_json();
-        let diff = diff_report_strs(&text, &text).unwrap();
+        let old = FleetReport::from_json_str(&text).unwrap();
+        let new = FleetReport::from_json_str(&text).unwrap();
+        let diff = diff_fleet_reports(&old, &new);
         assert!(diff.is_empty());
     }
 }

@@ -22,9 +22,13 @@
 //! 5. **[`report`]** — per-member inference (`lazyeye-infer` changepoint
 //!    over the tier grid), RFC 8305 verdicts, agreement against the
 //!    known profile, resolver-check roll-up, JSON/CSV/text emitters.
-//! 6. **[`checkpoint`]** — the fleet as a run-kernel matrix
-//!    ([`lazyeye_exec::Matrix`]): `--shard i/n` partials and `--merge`,
-//!    the multi-machine story.
+//! 6. **[`checkpoint`]** — the fleet as a run-kernel engine
+//!    ([`lazyeye_exec::Matrix`] + [`lazyeye_exec::Engine`]): a single
+//!    pass, its report fold and per-member profile. `--shard i/n`
+//!    partials, `--merge` and fresh runs all finish through the kernel's
+//!    one driver ([`lazyeye_exec::Partial::finish`]); [`run_fleet`] is
+//!    the one-call convenience and [`build_report`] folds a finished
+//!    plan.
 //!
 //! **Determinism contract:** the report is a pure function of
 //! `(FleetSpec, seed)`. `--jobs 1`, `--jobs 8` and any shard/merge split
@@ -44,11 +48,9 @@ pub mod report;
 pub mod session;
 pub mod spec;
 
-use std::collections::BTreeMap;
-
 pub use checkpoint::{FleetCheckpoint, FleetMatrix};
 pub use collect::{CaseAggregate, Collector, TierCell};
-pub use diff::{diff_fleet_reports, diff_report_strs, FleetDiff};
+pub use diff::{diff_fleet_reports, FleetDiff};
 pub use known::{check_agreement, expected_profile, known_verdicts, KnownAgreement};
 pub use lazyeye_exec::{merge, Shard};
 pub use plan::{derive_session_seed, expand, FleetPlan, SessionKind, SessionSpec};
@@ -57,58 +59,14 @@ pub use report::{build_report, FleetReport, FleetSummary, MemberReport, Resolver
 pub use session::{run_session, SessionContext, SessionOutput};
 pub use spec::{client_key, resolve_members, FleetCondition, FleetSpec, Member};
 
-/// Executes every session of `spec`'s plan not already present in
-/// `completed`, fanning out over `jobs` workers, and returns the plan
-/// with all outputs **in session-index order** (stored ones stitched back
-/// in place, after a kind check).
-///
-/// `on_result` fires on the calling thread for each newly executed
-/// session (completion order is scheduling-dependent).
-pub fn run_fleet_resumable(
-    spec: &FleetSpec,
-    completed: &BTreeMap<u64, SessionOutput>,
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-    on_result: impl FnMut(&SessionSpec, &SessionOutput),
-) -> Result<(FleetPlan, Vec<SessionOutput>), String> {
-    let plan = expand(spec)?;
-    let outputs = {
-        let ctx = SessionContext::new(spec, &plan.members);
-        lazyeye_exec::execute_missing::<FleetMatrix>(
-            &plan.sessions,
-            completed,
-            jobs,
-            |session| run_session(&ctx, session),
-            progress,
-            on_result,
-        )?
-    };
-    lazyeye_exec::check_stitched::<FleetMatrix>(completed, plan.sessions.len())?;
-    Ok((plan, outputs))
-}
-
-/// Expands, executes and aggregates a fleet in one call.
+/// Expands, executes and aggregates a fleet in one call, through the run
+/// kernel ([`lazyeye_exec::run`]).
 pub fn run_fleet(
     spec: &FleetSpec,
     jobs: usize,
     progress: impl FnMut(usize, usize),
 ) -> Result<FleetReport, String> {
-    let (plan, outputs) = run_fleet_resumable(spec, &BTreeMap::new(), jobs, progress, |_, _| {})?;
-    Ok(build_report(spec, &plan, &outputs))
-}
-
-/// Finishes a fleet from merged shard state: executes whatever the
-/// partials are missing and builds the canonical report — byte-identical
-/// to a single-process run.
-pub fn finish_from_partial(
-    ckpt: &FleetCheckpoint,
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-) -> Result<FleetReport, String> {
-    ckpt.validate()?;
-    let (plan, outputs) =
-        run_fleet_resumable(&ckpt.spec, ckpt.completed(), jobs, progress, |_, _| {})?;
-    Ok(build_report(&ckpt.spec, &plan, &outputs))
+    lazyeye_exec::run::<FleetMatrix>(spec, jobs, &(), progress)
 }
 
 #[cfg(test)]
@@ -195,7 +153,7 @@ mod tests {
         let s0 = FleetCheckpoint::from_json_str(&s0.to_json_string()).unwrap();
         let merged = merge([s0, s1]).unwrap();
         assert!(merged.missing().is_empty(), "shards cover the plan");
-        let report = finish_from_partial(&merged, 2, |_, _| {}).unwrap();
+        let (report, _) = merged.finish(2, &(), false, |_, _| {}, |_, _| {}).unwrap();
         assert_eq!(report.to_json(), whole.to_json());
         assert_eq!(report.to_csv(), whole.to_csv());
     }

@@ -68,9 +68,17 @@ pub struct FleetPlan {
 /// Expands the spec into the concrete session plan.
 ///
 /// The result is deterministic: same spec ⇒ same members, same sessions,
-/// same seeds — regardless of how many workers later execute them.
+/// same seeds — regardless of how many workers later execute them. A
+/// spec planning more than [`lazyeye_exec::MAX_PLANNED_ITEMS`] sessions
+/// is refused before any is allocated.
 pub fn expand(spec: &FleetSpec) -> Result<FleetPlan, String> {
     let members = resolve_members(spec)?;
+    let per_member =
+        u64::from(spec.cad_sessions) + u64::from(spec.rd_sessions) + u64::from(spec.rd_a_sessions);
+    let planned = (members.len() as u64)
+        .saturating_mul(per_member)
+        .saturating_add(2 * u64::from(spec.resolver_checks));
+    lazyeye_exec::check_plan_budget(planned, "sessions")?;
     let mut sessions = Vec::new();
     let push = |kind: SessionKind, sessions: &mut Vec<SessionSpec>| {
         let index = sessions.len() as u64;

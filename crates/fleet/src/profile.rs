@@ -20,7 +20,7 @@
 
 use lazyeye_obs::profile::FlameGraph;
 use lazyeye_testbed::{run_cad_once_traced, run_rd_once_traced, DelayedRecord, Table};
-use lazyeye_trace::profile::{attribute, Attribution, PHASES};
+use lazyeye_trace::profile::{attribute, dominant};
 use lazyeye_trace::Trace;
 
 use crate::plan::FleetPlan;
@@ -42,7 +42,8 @@ pub struct MemberBudgetRow {
     pub established: bool,
     /// Establishment latency (ms); 0 when not established.
     pub total_ms: u64,
-    /// Per-phase attribution, [`PHASES`] order.
+    /// Per-phase attribution, in
+    /// [`PHASES`](lazyeye_trace::profile::PHASES) order.
     pub phase_ms: [u64; 5],
 }
 
@@ -52,13 +53,7 @@ impl MemberBudgetRow {
         if !self.established {
             return "-";
         }
-        let mut best = 0usize;
-        for (i, v) in self.phase_ms.iter().enumerate() {
-            if *v > self.phase_ms[best] {
-                best = i;
-            }
-        }
-        PHASES[best]
+        dominant(&self.phase_ms)
     }
 }
 
@@ -168,7 +163,6 @@ pub fn profile_fleet_plan(spec: &FleetSpec, plan: &FleetPlan) -> (FleetBudget, F
     for member in &plan.members {
         for (pi, probe) in PROBES.iter().enumerate() {
             let seed = probe_seed(spec.seed, member, pi as u64);
-            let attr: Option<Attribution> = attribute(&probe_trace(member, probe, seed));
             let mut row = MemberBudgetRow {
                 member: member.key.clone(),
                 condition: member.condition.clone(),
@@ -177,22 +171,11 @@ pub fn profile_fleet_plan(spec: &FleetSpec, plan: &FleetPlan) -> (FleetBudget, F
                 total_ms: 0,
                 phase_ms: [0; 5],
             };
-            if let Some(a) = &attr {
+            if let Some(a) = attribute(&probe_trace(member, probe, seed)) {
                 row.established = true;
-                row.total_ms = a.total_ms;
-                row.phase_ms = a.phase_values();
-                for (phase, weight) in PHASES.iter().zip(a.phase_values()) {
-                    flame.add(
-                        [
-                            "fleet",
-                            member.key.as_str(),
-                            member.condition.as_str(),
-                            probe,
-                            phase,
-                        ],
-                        weight,
-                    );
-                }
+                a.fold(&mut row.total_ms, &mut row.phase_ms, |phase, ms| {
+                    flame.add(["fleet", &member.key, &member.condition, probe, phase], ms)
+                });
             }
             budget.rows.push(row);
         }

@@ -7,10 +7,11 @@
 //! on worker count or wall-clock time: a `(spec, seed)` pair renders to
 //! byte-identical output at any `--jobs` and across shard/merge.
 
+use lazyeye_exec::Report;
 use lazyeye_infer::{
-    infer_profile, infer_resolver_profile, merge_capability, score_profile, score_resolver,
-    CaseKind, ConformanceEntry, InferredProfile, InferredResolverProfile, Observation, RdEstimate,
-    Verdict,
+    fmt_opt, infer_profile, infer_resolver_profile, merge_capability, score_profile,
+    score_resolver, CaseKind, ConformanceEntry, InferredProfile, InferredResolverProfile,
+    Observation, RdEstimate, Verdict,
 };
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
@@ -539,10 +540,26 @@ pub fn build_report(spec: &FleetSpec, plan: &FleetPlan, outputs: &[SessionOutput
     }
 }
 
-fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_string(),
+impl Report for FleetReport {
+    fn json_into(&self, out: &mut String) {
+        self.to_json_into(out);
+    }
+    fn csv_into(&self, out: &mut String) {
+        self.to_csv_into(out);
+    }
+    fn text(&self) -> String {
+        self.render_text()
+    }
+    fn parse(text: &str) -> Result<FleetReport, JsonError> {
+        FleetReport::from_json_str(text)
+    }
+    fn diff(old: &FleetReport, new: &FleetReport, json: bool) -> String {
+        let diff = crate::diff::diff_fleet_reports(old, new);
+        if json {
+            diff.to_json()
+        } else {
+            diff.render_text()
+        }
     }
 }
 
@@ -611,9 +628,9 @@ impl FleetReport {
                 m.cad_sessions.to_string(),
                 m.rd_sessions.to_string(),
                 m.grid.clone(),
-                opt(&m.cad_last_v6_ms),
-                opt(&m.cad_first_v4_ms),
-                opt(&m.cad_point_ms),
+                fmt_opt(&m.cad_last_v6_ms),
+                fmt_opt(&m.cad_first_v4_ms),
+                fmt_opt(&m.cad_point_ms),
                 m.cad_dynamic.to_string(),
                 m.mixed_tiers.to_string(),
                 m.rd_verdict.clone(),
@@ -652,7 +669,7 @@ impl FleetReport {
             let cad = if m.cad_dynamic {
                 "dynamic".to_string()
             } else {
-                opt(&m.cad_point_ms)
+                fmt_opt(&m.cad_point_ms)
             };
             t.row(vec![
                 m.member.clone(),
@@ -706,7 +723,7 @@ impl FleetReport {
                 r.stack.clone(),
                 r.runs.to_string(),
                 r.capable.to_string(),
-                opt(&r.aaaa_first_share_pct),
+                fmt_opt(&r.aaaa_first_share_pct),
                 verdict,
             ]);
         }
@@ -754,8 +771,8 @@ impl FleetReport {
                     "  bracket miss {} [{}]: ({}, {}] misses the configured CAD\n",
                     m.member,
                     m.condition,
-                    opt(&m.cad_last_v6_ms),
-                    opt(&m.cad_first_v4_ms),
+                    fmt_opt(&m.cad_last_v6_ms),
+                    fmt_opt(&m.cad_first_v4_ms),
                 ));
             }
         }

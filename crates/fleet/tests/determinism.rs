@@ -49,7 +49,7 @@ fn reports_are_byte_identical_across_jobs_and_shard_merge() {
     }
     let merged = merge(parts).unwrap();
     assert!(merged.missing().is_empty());
-    let report = lazyeye_fleet::finish_from_partial(&merged, 4, |_, _| {}).unwrap();
+    let (report, _) = merged.finish(4, &(), false, |_, _| {}, |_, _| {}).unwrap();
     assert_eq!(report.to_json(), j1.to_json());
     assert_eq!(report.to_csv(), j1.to_csv());
 }

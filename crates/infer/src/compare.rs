@@ -44,82 +44,70 @@ pub fn push_delta(out: &mut Vec<FieldDelta>, field: impl Into<String>, old: Stri
     }
 }
 
+/// A named field and how to render it for a delta.
+pub type Field<T> = (&'static str, fn(&T) -> String);
+
+/// Collects a delta, named `prefix` + the field's name, for every field
+/// whose rendering differs between `old` and `new`, in `fields` order.
+pub fn push_fields<T>(
+    out: &mut Vec<FieldDelta>,
+    prefix: &str,
+    fields: &[Field<T>],
+    old: &T,
+    new: &T,
+) {
+    for (name, render) in fields {
+        push_delta(out, format!("{prefix}{name}"), render(old), render(new));
+    }
+}
+
+/// Matches two keyed lists the way every behaviour diff reads them:
+/// returns the items only in `new` (in `new` order) and those only in
+/// `old` (in `old` order), and calls `both` on each pair present in both,
+/// in `old` order.
+pub fn match_keyed<'a, T, K: PartialEq>(
+    old: &'a [T],
+    new: &'a [T],
+    key: impl Fn(&T) -> K,
+    mut both: impl FnMut(&T, &T),
+) -> (Vec<&'a T>, Vec<&'a T>) {
+    let added = new
+        .iter()
+        .filter(|n| !old.iter().any(|o| key(o) == key(n)))
+        .collect();
+    let mut removed = Vec::new();
+    for o in old {
+        match new.iter().find(|n| key(n) == key(o)) {
+            Some(n) => both(o, n),
+            None => removed.push(o),
+        }
+    }
+    (added, removed)
+}
+
 /// Field-level diff of two inferred profiles (same subject or not); used
 /// to compare a client across versions or campaigns.
 pub fn diff_profiles(old: &InferredProfile, new: &InferredProfile) -> Vec<FieldDelta> {
+    let fields: &[Field<InferredProfile>] = &[
+        ("prefers_v6", |p| fmt_opt(&p.prefers_v6)),
+        ("aaaa_first", |p| fmt_opt(&p.aaaa_first)),
+        ("cad.implemented", |p| fmt_opt(&p.cad.implemented)),
+        ("cad.estimate_ms", |p| fmt_opt(&p.cad.estimate_ms)),
+        ("cad.last_v6_delay_ms", |p| fmt_opt(&p.cad.last_v6_delay_ms)),
+        ("cad.first_v4_delay_ms", |p| {
+            fmt_opt(&p.cad.first_v4_delay_ms)
+        }),
+        ("rd.implemented", |p| fmt_opt(&p.rd.implemented)),
+        ("rd.delay_ms", |p| fmt_opt(&p.rd.delay_ms)),
+        ("rd.waits_for_all_answers", |p| {
+            fmt_opt(&p.rd.waits_for_all_answers)
+        }),
+        ("sorting", |p| p.sorting.to_json().to_string_compact()),
+        ("v6_addrs_used", |p| fmt_opt(&p.v6_addrs_used)),
+        ("v4_addrs_used", |p| fmt_opt(&p.v4_addrs_used)),
+    ];
     let mut out = Vec::new();
-    push_delta(
-        &mut out,
-        "prefers_v6",
-        fmt_opt(&old.prefers_v6),
-        fmt_opt(&new.prefers_v6),
-    );
-    push_delta(
-        &mut out,
-        "aaaa_first",
-        fmt_opt(&old.aaaa_first),
-        fmt_opt(&new.aaaa_first),
-    );
-    push_delta(
-        &mut out,
-        "cad.implemented",
-        fmt_opt(&old.cad.implemented),
-        fmt_opt(&new.cad.implemented),
-    );
-    push_delta(
-        &mut out,
-        "cad.estimate_ms",
-        fmt_opt(&old.cad.estimate_ms),
-        fmt_opt(&new.cad.estimate_ms),
-    );
-    push_delta(
-        &mut out,
-        "cad.last_v6_delay_ms",
-        fmt_opt(&old.cad.last_v6_delay_ms),
-        fmt_opt(&new.cad.last_v6_delay_ms),
-    );
-    push_delta(
-        &mut out,
-        "cad.first_v4_delay_ms",
-        fmt_opt(&old.cad.first_v4_delay_ms),
-        fmt_opt(&new.cad.first_v4_delay_ms),
-    );
-    push_delta(
-        &mut out,
-        "rd.implemented",
-        fmt_opt(&old.rd.implemented),
-        fmt_opt(&new.rd.implemented),
-    );
-    push_delta(
-        &mut out,
-        "rd.delay_ms",
-        fmt_opt(&old.rd.delay_ms),
-        fmt_opt(&new.rd.delay_ms),
-    );
-    push_delta(
-        &mut out,
-        "rd.waits_for_all_answers",
-        fmt_opt(&old.rd.waits_for_all_answers),
-        fmt_opt(&new.rd.waits_for_all_answers),
-    );
-    push_delta(
-        &mut out,
-        "sorting",
-        old.sorting.to_json().to_string_compact(),
-        new.sorting.to_json().to_string_compact(),
-    );
-    push_delta(
-        &mut out,
-        "v6_addrs_used",
-        fmt_opt(&old.v6_addrs_used),
-        fmt_opt(&new.v6_addrs_used),
-    );
-    push_delta(
-        &mut out,
-        "v4_addrs_used",
-        fmt_opt(&old.v4_addrs_used),
-        fmt_opt(&new.v4_addrs_used),
-    );
+    push_fields(&mut out, "", fields, old, new);
     out
 }
 

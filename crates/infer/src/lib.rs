@@ -36,7 +36,9 @@ pub mod profile;
 pub mod resolver;
 
 pub use changepoint::{detect_switchover, Changepoint};
-pub use compare::{diff_profiles, fmt_opt, push_delta, FieldDelta};
+pub use compare::{
+    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, Field, FieldDelta,
+};
 pub use conformance::{score_profile, ConformanceEntry, Verdict};
 pub use observe::{CaseKind, Observation};
 pub use profile::{

@@ -281,15 +281,36 @@ impl Attribution {
 
     /// The dominant phase name (ties break towards earlier phases).
     pub fn dominant_phase(&self) -> &'static str {
-        let vals = self.phase_values();
-        let mut best = 0usize;
-        for (i, v) in vals.iter().enumerate() {
-            if *v > vals[best] {
-                best = i;
-            }
-        }
-        PHASES[best]
+        dominant(&self.phase_values())
     }
+
+    /// Folds this run into a latency budget: adds its total and phases
+    /// to the sums `total_ms` / `phase_ms`, and hands every phase with its
+    /// milliseconds to `stack` (one flame-graph stack per phase).
+    pub fn fold(
+        &self,
+        total_ms: &mut u64,
+        phase_ms: &mut [u64; 5],
+        mut stack: impl FnMut(&'static str, u64),
+    ) {
+        *total_ms += self.total_ms;
+        for ((sum, phase), ms) in phase_ms.iter_mut().zip(PHASES).zip(self.phase_values()) {
+            *sum += ms;
+            stack(phase, ms);
+        }
+    }
+}
+
+/// The dominant phase of per-phase values in [`PHASES`] order (ties
+/// break towards earlier phases).
+pub fn dominant(phase_ms: &[u64; 5]) -> &'static str {
+    let mut best = 0usize;
+    for (i, v) in phase_ms.iter().enumerate() {
+        if *v > phase_ms[best] {
+            best = i;
+        }
+    }
+    PHASES[best]
 }
 
 fn ms(ns: u64) -> u64 {

@@ -26,27 +26,29 @@
 //! ```
 //!
 //! Campaigns and fleets run through one driver ([`drive`]) over the
-//! shared run kernel (`lazyeye_exec::Partial`): shard, merge, resume,
-//! periodic saves, partial and report emission exist once for both.
+//! shared run kernel (`lazyeye_exec::Partial`, `lazyeye_exec::Engine`):
+//! shard, merge, resume, periodic saves, the finish into a report and
+//! profile, partial and report emission, and `--diff` exist once for
+//! both. An engine's only CLI code is its flag table.
 //!
 //! Unknown flags are hard errors — a typo must never silently run a
 //! different measurement than asked for.
 
 use std::collections::HashMap;
 use std::io::IsTerminal as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lazy_eye_inspection::campaign::{
-    build_report_with, diff_reports, fold_row, profile_runs, run_campaign_resumable,
-    run_campaign_resumable_with, CampaignMatrix, CampaignReport, CampaignSpec, Checkpoint,
-    InferredClientReport, LatencyBudget, RunOutput, RunSpec,
+    CampaignMatrix, CampaignOptions, CampaignReport, CampaignSpec, Checkpoint,
+    InferredClientReport, LatencyBudget,
 };
 use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
-use lazy_eye_inspection::exec::{merge, Matrix, Partial, Shard};
-use lazy_eye_inspection::fleet::{self, FleetCheckpoint, FleetMatrix, FleetReport, FleetSpec};
+use lazy_eye_inspection::exec::{merge, Engine, Matrix, Partial, Report, Shard};
+use lazy_eye_inspection::fleet::{FleetMatrix, FleetReport, FleetSpec};
 use lazy_eye_inspection::infer::{
-    diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, score_profile, InferredProfile,
-    InferredResolverReport,
+    diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, match_keyed, score_profile,
+    FieldDelta, InferredProfile, InferredResolverReport,
 };
 use lazy_eye_inspection::json::{FromJson, Json, ToJson};
 use lazy_eye_inspection::net::Family;
@@ -58,7 +60,7 @@ use lazy_eye_inspection::testbed::{
     summarize_rd, summarize_resolver, CadCaseConfig, DelayedRecord, RdCaseConfig,
     ResolverCaseConfig, SelectionCaseConfig, SweepSpec, Table, TestbedConfig,
 };
-use lazy_eye_inspection::trace::profile::{attribute, Attribution, PHASES};
+use lazy_eye_inspection::trace::profile::{attribute, Attribution};
 use lazy_eye_inspection::trace::{Trace, TraceSet};
 
 /// Completed runs between periodic checkpoint saves.
@@ -261,6 +263,44 @@ fn fail(msg: &str) -> ExitCode {
 /// that ends it with exit 1.
 type Cmd = Result<ExitCode, String>;
 
+/// Reads a whole file, naming it in the error.
+fn read(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// `path` itself or, for a directory, every `*.json` in it, sorted by
+/// name; `what` names the files in the error for an empty directory.
+fn json_files(path: &str, what: &str) -> Result<Vec<PathBuf>, String> {
+    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if !meta.is_dir() {
+        return Ok(vec![path.into()]);
+    }
+    let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut files: Vec<PathBuf> = entries
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("{path}: no {what} (*.json) found"));
+    }
+    Ok(files)
+}
+
+/// Splits `--diff <old> <new> [--format text|json]` into the two paths
+/// and the format; `files` names them in the usage error.
+fn diff_args<'a>(rest: &'a [String], files: &str) -> Result<(&'a [String], Format), String> {
+    if rest.len() < 3 {
+        return Err(format!(
+            "--diff needs two {files} files: --diff old.json new.json"
+        ));
+    }
+    let flags = parse_flags(&rest[3..], &[val("--format")])?;
+    Ok((&rest[1..3], parse_text_json(&flags)?))
+}
+
 fn fmt_share(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.1} %")).unwrap_or_else(|| "-".into())
 }
@@ -366,35 +406,23 @@ fn extract_profiles(v: &Json) -> Result<Vec<InferredProfile>, String> {
 
 /// `infer --diff old.json new.json`: field-level behaviour deltas
 /// between two sets of inferred profiles, matched by subject.
-fn cmd_infer_diff(paths: &[String], format: Format) -> Cmd {
+fn cmd_infer_diff(rest: &[String]) -> Cmd {
+    let (paths, format) = diff_args(rest, "profile")?;
     let mut sets = Vec::new();
     for path in paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let v = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let v = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
         sets.push(extract_profiles(&v).map_err(|e| format!("{path}: {e}"))?);
     }
-    let (old, new) = (&sets[0], &sets[1]);
-    let mut added: Vec<String> = Vec::new();
-    let mut removed: Vec<String> = Vec::new();
     let mut changed = Vec::new();
-    for p in new {
-        if !old.iter().any(|o| o.subject == p.subject) {
-            added.push(p.subject.clone());
-        }
-    }
-    for o in old {
-        match new.iter().find(|p| p.subject == o.subject) {
-            None => removed.push(o.subject.clone()),
-            Some(p) => {
-                for delta in diff_profiles(o, p) {
-                    changed.push(lazy_eye_inspection::infer::FieldDelta {
-                        field: format!("{}.{}", o.subject, delta.field),
-                        ..delta
-                    });
-                }
-            }
-        }
-    }
+    let subject = |p: &InferredProfile| p.subject.clone();
+    let (added, removed) = match_keyed(&sets[0], &sets[1], subject, |o, n| {
+        changed.extend(diff_profiles(o, n).into_iter().map(|delta| FieldDelta {
+            field: format!("{}.{}", o.subject, delta.field),
+            ..delta
+        }))
+    });
+    let added: Vec<&str> = added.iter().map(|p| p.subject.as_str()).collect();
+    let removed: Vec<&str> = removed.iter().map(|p| p.subject.as_str()).collect();
     match format {
         Format::Json => {
             let doc = Json::obj(vec![
@@ -434,25 +462,25 @@ fn parse_jobs(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-/// Loads a campaign spec from `path` and applies a `--seed` override.
-fn load_spec(flags: &Flags, path: &str) -> Result<CampaignSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("bad spec: {e}"))?;
-    if let Some(seed) = flags.get("--seed") {
-        spec.seed = seed
-            .parse()
-            .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
-    }
+/// Loads the campaign spec at `path` (the built-in default without one)
+/// and applies a `--seed` override.
+fn load_spec(flags: &Flags, path: Option<&str>) -> Result<CampaignSpec, String> {
+    let mut spec = match path {
+        Some(path) => {
+            CampaignSpec::from_json(&read(path)?).map_err(|e| format!("bad spec: {e}"))?
+        }
+        None => CampaignSpec::default(),
+    };
+    spec.seed = parse_num(flags, "--seed", spec.seed)?;
     Ok(spec)
 }
 
-/// Runs an orchestrating subcommand inside an observability session
-/// (`--timeline`, `--metrics-out`, `--flight-record`, `--progress`). The
-/// session's files are written even when the subcommand fails.
-fn with_obs(flags: &Flags, unit: &'static str, dispatch: fn(&Flags, usize) -> Cmd) -> Cmd {
-    let jobs = parse_jobs(flags)?;
+/// Runs `cmd` inside an observability session (`--timeline`,
+/// `--metrics-out`, `--flight-record`, `--progress`) over `jobs` workers.
+/// The session's files are written even when the command fails.
+fn with_obs(flags: &Flags, jobs: usize, unit: &'static str, cmd: impl FnOnce() -> Cmd) -> Cmd {
     let obs = Obs::start(flags, jobs, unit)?;
-    let code = dispatch(flags, jobs).unwrap_or_else(|e| fail(&e));
+    let code = cmd().unwrap_or_else(|e| fail(&e));
     obs.finish()?;
     Ok(code)
 }
@@ -462,9 +490,7 @@ fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> Cmd {
     match (flags.get("--trace"), flags.get("--campaign")) {
         (Some(_), Some(_)) => Err("--trace and --campaign are mutually exclusive".into()),
         (Some(path), None) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let set = TraceSet::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?;
+            let set = TraceSet::from_json_str(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
             let resolvers = infer_resolver_traces(&set);
             let resolver_subjects: std::collections::BTreeSet<&str> = resolvers
                 .iter()
@@ -497,16 +523,14 @@ fn cmd_infer_dispatch(flags: &Flags, jobs: usize) -> Cmd {
             Ok(ExitCode::SUCCESS)
         }
         (None, Some(path)) => {
-            let spec = load_spec(flags, path)?;
-            let (runs, outputs) = run_campaign_resumable(
-                &spec,
-                jobs,
-                &std::collections::BTreeMap::new(),
-                track_total,
-                |_, _| {},
-            )
-            .map_err(|e| format!("campaign failed: {e}"))?;
-            let report = build_report_with(&spec, &runs, &outputs, true);
+            let spec = load_spec(flags, Some(path))?;
+            let opts = CampaignOptions {
+                classify: true,
+                ..CampaignOptions::default()
+            };
+            let (report, _) = Checkpoint::fresh(spec, None)
+                .and_then(|part| part.finish(jobs, &opts, false, track_total, |_, _| {}))
+                .map_err(|e| format!("campaign failed: {e}"))?;
             let section = report.inference.expect("classify builds the section");
             match format {
                 Format::Json => print!("{}", section.to_json()),
@@ -655,147 +679,21 @@ impl Saver {
 }
 
 /// The command-line options of one campaign or fleet run.
-struct RunOpts<'a> {
+struct RunOpts<'a, E: Engine> {
     jobs: usize,
     format: Format,
     out: Option<&'a str>,
     flamegraph: Option<&'a str>,
-    classify: bool,
-    fast_path: bool,
-}
-
-/// A report in the driver's three output formats.
-trait Render {
-    fn json_into(&self, out: &mut String);
-    fn csv_into(&self, out: &mut String);
-    fn text(&self) -> String;
-}
-
-impl Render for CampaignReport {
-    fn json_into(&self, out: &mut String) {
-        self.to_json_into(out);
-    }
-    fn csv_into(&self, out: &mut String) {
-        self.to_csv_into(out);
-    }
-    fn text(&self) -> String {
-        self.render_text()
-    }
-}
-
-impl Render for FleetReport {
-    fn json_into(&self, out: &mut String) {
-        self.to_json_into(out);
-    }
-    fn csv_into(&self, out: &mut String) {
-        self.to_csv_into(out);
-    }
-    fn text(&self) -> String {
-        self.render_text()
-    }
-}
-
-/// A latency-budget table (rendered) and its flame graph.
-type Profile = (String, FlameGraph);
-
-/// The CLI's side of an engine: the run kernel's [`Matrix`] plus what it
-/// takes to finish a run into a report.
-trait Engine: Matrix {
-    /// Subcommand name, also the tag of its stderr lines.
-    const NAME: &'static str;
-    /// Plural noun for one work item.
-    const UNIT: &'static str;
-    /// Flags `--merge` refuses: the spec comes from the partials.
-    const MERGE_CONFLICTS: &'static [&'static str];
-    /// The engine's report.
-    type Report: Render;
-
-    /// Runs whatever `part` lacks and builds the report, plus the latency
-    /// profile under `--flamegraph`. `on_result` sees every fresh item.
-    fn finish(
-        part: &Partial<Self>,
-        opts: &RunOpts,
-        on_result: impl FnMut(&Self::Item, &Self::Output),
-    ) -> Result<(Self::Report, Option<Profile>), String>;
-}
-
-impl Engine for CampaignMatrix {
-    const NAME: &'static str = "campaign";
-    const UNIT: &'static str = "runs";
-    const MERGE_CONFLICTS: &'static [&'static str] = &[
-        "--config",
-        "--default",
-        "--seed",
-        "--shard",
-        "--resume",
-        "--checkpoint",
-    ];
-    type Report = CampaignReport;
-
-    fn finish(
-        part: &Checkpoint,
-        opts: &RunOpts,
-        on_result: impl FnMut(&RunSpec, &RunOutput),
-    ) -> Result<(CampaignReport, Option<Profile>), String> {
-        let spec = &part.spec;
-        let (runs, outputs) = run_campaign_resumable_with(
-            spec,
-            opts.jobs,
-            opts.fast_path,
-            part.completed(),
-            track_total,
-            on_result,
-        )
-        .map_err(|e| e.to_string())?;
-        let report = build_report_with(spec, &runs, &outputs, opts.classify);
-        // Attribute the executed run list (first pass + refinement): a
-        // pure function of (spec, run list), byte-identical across --jobs.
-        let profile = opts.flamegraph.map(|_| {
-            let (budget, flame) = profile_runs(spec, &runs);
-            (budget.render_text(), flame)
-        });
-        Ok((report, profile))
-    }
-}
-
-impl Engine for FleetMatrix {
-    const NAME: &'static str = "fleet";
-    const UNIT: &'static str = "sessions";
-    const MERGE_CONFLICTS: &'static [&'static str] = &[
-        "--spec",
-        "--default",
-        "--seed",
-        "--sessions",
-        "--reps",
-        "--shard",
-    ];
-    type Report = FleetReport;
-
-    fn finish(
-        part: &FleetCheckpoint,
-        opts: &RunOpts,
-        on_result: impl FnMut(&fleet::SessionSpec, &fleet::SessionOutput),
-    ) -> Result<(FleetReport, Option<Profile>), String> {
-        let spec = &part.spec;
-        let (plan, outputs) =
-            fleet::run_fleet_resumable(spec, part.completed(), opts.jobs, track_total, on_result)?;
-        let report = fleet::build_report(spec, &plan, &outputs);
-        // Per-member probe attribution: a pure function of (spec, seed),
-        // byte-identical across --jobs like the report itself.
-        let profile = opts.flamegraph.map(|_| {
-            let (budget, flame) = fleet::profile_fleet_plan(spec, &plan);
-            (budget.render_text(), flame)
-        });
-        Ok((report, profile))
-    }
+    /// The engine's own options (campaign: `--fast-path`, `--classify`).
+    engine: E::Options,
 }
 
 /// The one driver behind every campaign and fleet run. A sharded partial
 /// runs its shard's slice of the first pass and emits the partial. An
-/// unsharded one (fresh, resumed or merged) runs to completion and emits
-/// the report, plus the flame graph under `--flamegraph`. The growing
-/// partial is saved to `save` as it goes.
-fn drive<E: Engine>(part: Partial<E>, save: Option<String>, opts: &RunOpts) -> Cmd {
+/// unsharded one (fresh, resumed or merged) runs to completion through
+/// the kernel's finish and emits the report, plus the flame graph under
+/// `--flamegraph`. The growing partial is saved to `save` as it goes.
+fn drive<E: Engine>(part: Partial<E>, save: Option<String>, opts: &RunOpts<E>) -> Cmd {
     let mut saver = Saver::new(save);
     if let Some(shard) = part.shard {
         let spec = part.spec.clone();
@@ -809,12 +707,19 @@ fn drive<E: Engine>(part: Partial<E>, save: Option<String>, opts: &RunOpts) -> C
     }
     // Outputs are kept only when there is somewhere to save them.
     let mut grown = saver.path.is_some().then(|| part.clone());
-    let finished = E::finish(&part, opts, |item, output| {
-        if let Some(grown) = &mut grown {
-            grown.record(E::index(item), output.clone());
-            saver.tick(grown);
-        }
-    });
+    let profile = opts.flamegraph.is_some();
+    let finished = part.finish(
+        opts.jobs,
+        &opts.engine,
+        profile,
+        track_total,
+        |item, output| {
+            if let Some(grown) = &mut grown {
+                grown.record(E::index(item), output.clone());
+                saver.tick(grown);
+            }
+        },
+    );
     let (report, profile) = finished.map_err(|e| format!("{} failed: {e}", E::NAME))?;
     if let Some(grown) = &grown {
         saver.flush(grown);
@@ -829,7 +734,7 @@ fn drive<E: Engine>(part: Partial<E>, save: Option<String>, opts: &RunOpts) -> C
 
 /// Prints a report in the chosen format and writes `<out>.json` and
 /// `<out>.csv` under `--out`.
-fn emit_report<E: Engine>(report: &E::Report, opts: &RunOpts) -> Result<(), String> {
+fn emit_report<E: Engine>(report: &E::Report, opts: &RunOpts<E>) -> Result<(), String> {
     // Render each format at most once; stdout and --out reuse the bytes.
     let (format, out) = (opts.format, opts.out);
     let mut json = String::new();
@@ -869,12 +774,12 @@ fn emit_partial<E: Engine>(
     part.save(&path, &mut String::new())
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!(
-        "[{}] shard {}/{}: {} {} completed, wrote {path}",
+        "[{}] shard {}/{}: {} {}s completed, wrote {path}",
         E::NAME,
         shard.index,
         shard.count,
         part.completed_count(),
-        E::UNIT
+        E::ITEM
     );
     Ok(())
 }
@@ -905,9 +810,10 @@ fn shard_conflicts(flags: &Flags, runs: &str) -> Result<(), String> {
 }
 
 /// `--merge a.json b.json …`: unions the partials and finishes the run,
-/// executing whatever they lack locally.
-fn cmd_merge<E: Engine>(flags: &Flags, opts: &RunOpts) -> Cmd {
-    if let Some(conflicting) = E::MERGE_CONFLICTS.iter().find(|f| flags.contains(f)) {
+/// executing whatever they lack locally. `conflicts` are the flags that
+/// would name a spec: it comes from the partials.
+fn cmd_merge<E: Engine>(flags: &Flags, conflicts: &[&str], opts: &RunOpts<E>) -> Cmd {
+    if let Some(conflicting) = conflicts.iter().find(|f| flags.contains(f)) {
         return Err(format!("--merge cannot be combined with {conflicting}"));
     }
     let parts: Result<Vec<Partial<E>>, String> = flags
@@ -919,10 +825,10 @@ fn cmd_merge<E: Engine>(flags: &Flags, opts: &RunOpts) -> Cmd {
     let missing = merged.missing().len();
     if missing > 0 {
         eprintln!(
-            "[{}] warning: {missing} {} missing from the partials; \
+            "[{}] warning: {missing} {}s missing from the partials; \
              executing them locally",
             E::NAME,
-            E::UNIT
+            E::ITEM
         );
     }
     drive(merged, None, opts)
@@ -931,7 +837,12 @@ fn cmd_merge<E: Engine>(flags: &Flags, opts: &RunOpts) -> Cmd {
 /// A fresh run of `spec`: one shard of it under `--shard i/n`, else the
 /// whole run. A shard saves periodically to `save` or, without one, to
 /// its `--out` partial.
-fn cmd_start<E: Engine>(flags: &Flags, spec: E::Spec, save: Option<String>, opts: &RunOpts) -> Cmd {
+fn cmd_start<E: Engine>(
+    flags: &Flags,
+    spec: E::Spec,
+    save: Option<String>,
+    opts: &RunOpts<E>,
+) -> Cmd {
     let shard = flags.get("--shard").map(Shard::parse).transpose()?;
     if shard.is_some() {
         shard_conflicts(flags, "--shard runs")?;
@@ -964,19 +875,20 @@ fn print_budget(text: &str, format: Format) {
     }
 }
 
-/// `campaign --diff old.json new.json`: load two reports, surface
-/// per-cell and per-feature behaviour changes.
-fn cmd_campaign_diff(paths: &[String], format: Format) -> Cmd {
+/// `campaign|fleet --diff old.json new.json`: loads two reports and
+/// surfaces their behaviour changes — per cell and feature for
+/// campaigns; per member, resolver and summary for fleets (the
+/// longitudinal population-tracking view).
+fn cmd_diff<R: Report>(rest: &[String]) -> Cmd {
+    let (paths, format) = diff_args(rest, "report")?;
     let mut reports = Vec::new();
     for path in paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        reports.push(CampaignReport::from_json_str(&text).map_err(|e| format!("{path}: {e}"))?);
+        reports.push(R::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
     }
-    let diff = diff_reports(&reports[0], &reports[1]);
-    match format {
-        Format::Json => print!("{}", diff.to_json()),
-        _ => print!("{}", diff.render_text()),
-    }
+    print!(
+        "{}",
+        R::diff(&reports[0], &reports[1], format == Format::Json)
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -986,28 +898,9 @@ fn cmd_campaign_diff(paths: &[String], format: Format) -> Cmd {
 /// `*.json` bundle in it (sorted by name). Exits non-zero if any replay
 /// diverges — the CI determinism gate.
 fn cmd_replay(path: &str, format: Format) -> Cmd {
-    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    if meta.is_dir() {
-        let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.extension().is_some_and(|ext| ext == "json") {
-                files.push(p);
-            }
-        }
-        files.sort();
-        if files.is_empty() {
-            return Err(format!("{path}: no bundles (*.json) found"));
-        }
-    } else {
-        files.push(path.into());
-    }
     let mut reports = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let bundle = lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&text)
+    for file in json_files(path, "bundles")? {
+        let bundle = lazy_eye_inspection::obs::bundle::Bundle::from_json_str(&read(&file)?)
             .map_err(|e| format!("{}: {e}", file.display()))?;
         let report = lazy_eye_inspection::campaign::replay(&bundle)
             .map_err(|e| format!("{}: {e}", file.display()))?;
@@ -1042,27 +935,9 @@ fn cmd_replay(path: &str, format: Format) -> Cmd {
 /// (`--emit-trace` output), flight-recorder bundles, or a directory of
 /// either (`*.json`, sorted by name).
 fn cmd_profile(path: &str, flags: &Flags, format: Format) -> Cmd {
-    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    if meta.is_dir() {
-        let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.extension().is_some_and(|ext| ext == "json") {
-                files.push(p);
-            }
-        }
-        files.sort();
-        if files.is_empty() {
-            return Err(format!("{path}: no trace files (*.json) found"));
-        }
-    } else {
-        files.push(path.into());
-    }
     let mut traces: Vec<Trace> = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+    for file in json_files(path, "trace files")? {
+        let text = read(&file)?;
         match TraceSet::from_json_str(&text) {
             Ok(set) => traces.extend(set.traces),
             // Not a trace set — a flight-recorder bundle carries the
@@ -1084,33 +959,16 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> Cmd {
     }
     let mut budget = LatencyBudget::default();
     let mut flame = FlameGraph::new();
-    let mut attributed: Vec<(&Trace, Option<Attribution>)> = Vec::new();
-    for trace in &traces {
-        let attr = attribute(trace);
-        if attr.is_none() {
-            budget.unattributed += 1;
-        }
-        let m = &trace.meta;
-        fold_row(
-            &mut budget.rows,
-            (&m.case, &m.subject, &m.condition, m.configured_delay_ms),
-            attr.as_ref(),
-        );
-        if let Some(a) = &attr {
-            for (phase, weight) in PHASES.iter().zip(a.phase_values()) {
-                flame.add(
-                    [
-                        m.case.as_str(),
-                        m.subject.as_str(),
-                        m.condition.as_str(),
-                        phase,
-                    ],
-                    weight,
-                );
-            }
-        }
-        attributed.push((trace, attr));
-    }
+    let attributed: Vec<(&Trace, Option<Attribution>)> = traces
+        .iter()
+        .map(|trace| {
+            let attr = attribute(trace);
+            let m = &trace.meta;
+            let key = (&*m.case, &*m.subject, &*m.condition, m.configured_delay_ms);
+            budget.add(&mut flame, key, attr.as_ref());
+            (trace, attr)
+        })
+        .collect();
     match format {
         Format::Json => {
             let doc = Json::obj(vec![(
@@ -1175,21 +1033,30 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> Cmd {
 }
 
 fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> Cmd {
-    let format = parse_format(flags)?;
-    let opts = RunOpts {
+    let opts = RunOpts::<CampaignMatrix> {
         jobs,
-        format,
+        format: parse_format(flags)?,
         out: flags.get("--out"),
         flamegraph: flags.get("--flamegraph"),
-        classify: flags.contains("--classify"),
-        fast_path: flags.contains("--fast-path"),
+        engine: CampaignOptions {
+            fast_path: flags.contains("--fast-path"),
+            classify: flags.contains("--classify"),
+        },
     };
 
     if flags.contains("--merge") {
-        if opts.fast_path {
+        if opts.engine.fast_path {
             return Err("--fast-path does not apply to --merge; it only affects local runs".into());
         }
-        return cmd_merge::<CampaignMatrix>(flags, &opts);
+        let conflicts = [
+            "--config",
+            "--default",
+            "--seed",
+            "--shard",
+            "--resume",
+            "--checkpoint",
+        ];
+        return cmd_merge(flags, &conflicts, &opts);
     }
 
     let save = flags.get("--checkpoint").map(String::from);
@@ -1229,27 +1096,17 @@ fn cmd_campaign_dispatch(flags: &Flags, jobs: usize) -> Cmd {
         return drive(ckpt, save.or_else(|| Some(resume_path.to_string())), &opts);
     }
 
-    let spec = if flags.contains("--default") {
-        if flags.contains("--config") {
-            return Err("--config and --default are mutually exclusive".into());
-        }
-        let mut spec = CampaignSpec::default();
-        if let Some(seed) = flags.get("--seed") {
-            spec.seed = seed
-                .parse()
-                .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
-        }
-        spec
-    } else {
-        let Some(path) = flags.get("--config") else {
+    let path = match (flags.contains("--default"), flags.get("--config")) {
+        (true, Some(_)) => return Err("--config and --default are mutually exclusive".into()),
+        (true, None) => None,
+        (false, Some(path)) => Some(path),
+        (false, None) => {
             return Err("campaign needs --config <spec.json> or --default \
                  (or --print-spec / --resume / --merge)"
-                .into());
-        };
-        load_spec(flags, path)?
+                .into())
+        }
     };
-
-    cmd_start::<CampaignMatrix>(flags, spec, save, &opts)
+    cmd_start(flags, load_spec(flags, path)?, save, &opts)
 }
 
 /// Loads a fleet spec from `--spec`/`--default` and applies `--seed`,
@@ -1258,9 +1115,7 @@ fn load_fleet_spec(flags: &Flags) -> Result<FleetSpec, String> {
     let mut spec = match (flags.get("--spec"), flags.contains("--default")) {
         (Some(_), true) => return Err("--spec and --default are mutually exclusive".to_string()),
         (Some(path), false) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            FleetSpec::from_json(&text).map_err(|e| format!("bad fleet spec: {e}"))?
+            FleetSpec::from_json(&read(path)?).map_err(|e| format!("bad fleet spec: {e}"))?
         }
         (None, true) => FleetSpec::default(),
         (None, false) => {
@@ -1270,11 +1125,7 @@ fn load_fleet_spec(flags: &Flags) -> Result<FleetSpec, String> {
             )
         }
     };
-    if let Some(seed) = flags.get("--seed") {
-        spec.seed = seed
-            .parse()
-            .map_err(|_| format!("flag --seed: invalid value {seed:?}"))?;
-    }
+    spec.seed = parse_num(flags, "--seed", spec.seed)?;
     if flags.contains("--sessions") {
         spec.cad_sessions = parse_num(flags, "--sessions", spec.cad_sessions)?;
         if spec.cad_sessions == 0 {
@@ -1290,37 +1141,26 @@ fn load_fleet_spec(flags: &Flags) -> Result<FleetSpec, String> {
     Ok(spec)
 }
 
-/// `fleet --diff old.json new.json`: load two fleet reports, surface
-/// membership changes and per-member/resolver/summary behaviour deltas —
-/// the longitudinal population-tracking view.
-fn cmd_fleet_diff(paths: &[String], format: Format) -> Cmd {
-    let mut texts = Vec::new();
-    for path in paths {
-        texts.push(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?);
-    }
-    let diff = fleet::diff_report_strs(&texts[0], &texts[1])?;
-    match format {
-        Format::Json => print!("{}", diff.to_json()),
-        _ => print!("{}", diff.render_text()),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_fleet_dispatch(flags: &Flags, jobs: usize) -> Cmd {
-    let format = parse_format(flags)?;
-    let opts = RunOpts {
+    let opts = RunOpts::<FleetMatrix> {
         jobs,
-        format,
+        format: parse_format(flags)?,
         out: flags.get("--out"),
         flamegraph: flags.get("--flamegraph"),
-        classify: false,
-        fast_path: false,
+        engine: (),
     };
     if flags.contains("--merge") {
-        return cmd_merge::<FleetMatrix>(flags, &opts);
+        let conflicts = [
+            "--spec",
+            "--default",
+            "--seed",
+            "--sessions",
+            "--reps",
+            "--shard",
+        ];
+        return cmd_merge(flags, &conflicts, &opts);
     }
-    let spec = load_fleet_spec(flags)?;
-    cmd_start::<FleetMatrix>(flags, spec, None, &opts)
+    cmd_start(flags, load_fleet_spec(flags)?, None, &opts)
 }
 
 fn main() -> ExitCode {
@@ -1572,13 +1412,7 @@ fn run(args: &[String]) -> Cmd {
             // `--diff old.json new.json` is its own sub-mode with
             // positional profile-set paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return Err("--diff needs two profile files: --diff old.json new.json".into());
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = parse_flags(&rest[3..], &[val("--format")])?;
-                let format = parse_text_json(&flags)?;
-                return cmd_infer_diff(&paths, format);
+                return cmd_infer_diff(rest);
             }
             let flags = parse_flags(
                 rest,
@@ -1593,19 +1427,14 @@ fn run(args: &[String]) -> Cmd {
                     switch("--progress"),
                 ],
             )?;
-            with_obs(&flags, "runs", cmd_infer_dispatch)
+            let jobs = parse_jobs(&flags)?;
+            with_obs(&flags, jobs, "runs", || cmd_infer_dispatch(&flags, jobs))
         }
         "fleet" => {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return Err("--diff needs two report files: --diff old.json new.json".into());
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = parse_flags(&rest[3..], &[val("--format")])?;
-                let format = parse_text_json(&flags)?;
-                return cmd_fleet_diff(&paths, format);
+                return cmd_diff::<FleetReport>(rest);
             }
             let flags = parse_flags(
                 rest,
@@ -1632,19 +1461,16 @@ fn run(args: &[String]) -> Cmd {
                 println!("{}", FleetSpec::default().to_json());
                 return Ok(ExitCode::SUCCESS);
             }
-            with_obs(&flags, "sessions", cmd_fleet_dispatch)
+            let jobs = parse_jobs(&flags)?;
+            with_obs(&flags, jobs, "sessions", || {
+                cmd_fleet_dispatch(&flags, jobs)
+            })
         }
         "campaign" => {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths.
             if rest.first().map(String::as_str) == Some("--diff") {
-                if rest.len() < 3 {
-                    return Err("--diff needs two report files: --diff old.json new.json".into());
-                }
-                let paths = rest[1..3].to_vec();
-                let flags = parse_flags(&rest[3..], &[val("--format")])?;
-                let format = parse_format(&flags)?;
-                return cmd_campaign_diff(&paths, format);
+                return cmd_diff::<CampaignReport>(rest);
             }
             let flags = parse_flags(
                 rest,
@@ -1673,7 +1499,8 @@ fn run(args: &[String]) -> Cmd {
                 println!("{}", CampaignSpec::default().to_json());
                 return Ok(ExitCode::SUCCESS);
             }
-            with_obs(&flags, "runs", cmd_campaign_dispatch)
+            let jobs = parse_jobs(&flags)?;
+            with_obs(&flags, jobs, "runs", || cmd_campaign_dispatch(&flags, jobs))
         }
         "replay" => {
             let Some(path) = rest.first() else {
@@ -1686,10 +1513,7 @@ fn run(args: &[String]) -> Cmd {
                 &[val("--format"), val("--timeline"), val("--metrics-out")],
             )?;
             let format = parse_text_json(&flags)?;
-            let obs = Obs::start(&flags, 1, "bundles")?;
-            let code = cmd_replay(path, format).unwrap_or_else(|e| fail(&e));
-            obs.finish()?;
-            Ok(code)
+            with_obs(&flags, 1, "bundles", || cmd_replay(path, format))
         }
         "profile" => {
             let Some(path) = rest.first() else {

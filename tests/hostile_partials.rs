@@ -7,16 +7,17 @@
 //!
 //! Every hostile variant of them — an oversized planned count, a stored
 //! index outside the shard's plan, an output whose kind does not match
-//! its planned item, a malformed shard — must exit 1 with an error, never
-//! a panic or an out-of-memory abort, and within 5 s under a 1.5 GB
-//! address-space limit.
+//! its planned item, a malformed shard, an embedded spec that plans past
+//! the kernel's item budget — must exit 1 with an error, never a panic or
+//! an out-of-memory abort, and within 5 s under a 1.5 GB address-space
+//! limit. So must a fresh run of such a spec.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 use lazy_eye_inspection::campaign::Checkpoint;
-use lazy_eye_inspection::fleet::FleetCheckpoint;
+use lazy_eye_inspection::fleet::{FleetCheckpoint, FleetSpec};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -56,15 +57,23 @@ fn edit(name: &str, from: &str, to: &str) -> String {
     text.replace(from, to)
 }
 
-/// `subcommand --merge <hostile>` must fail cleanly. Merging the hostile
-/// partial alone means nothing else can refuse it first.
-fn assert_rejected(subcommand: &str, name: &str, hostile: &str) {
+/// `subcommand --merge <hostile>` must fail cleanly; returns the error
+/// output. Merging the hostile partial alone means nothing else can
+/// refuse it first.
+fn assert_rejected(subcommand: &str, name: &str, hostile: &str) -> String {
     let path = scratch(name, hostile);
-    let started = Instant::now();
-    let out = lazyeye(&[subcommand, "--merge", &path, "--jobs", "1"]);
-    let took = started.elapsed();
+    let stderr = assert_fails(name, &[subcommand, "--merge", &path, "--jobs", "1"]);
     let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr
+}
+
+/// `args` must exit 1 with an error line, no panic, within 5 s; returns
+/// the error output.
+fn assert_fails(name: &str, args: &[&str]) -> String {
+    let started = Instant::now();
+    let out = lazyeye(args);
+    let took = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -77,6 +86,7 @@ fn assert_rejected(subcommand: &str, name: &str, hostile: &str) {
     );
     assert!(!stderr.contains("panicked"), "{name}: panicked\n{stderr}");
     assert!(took < Duration::from_secs(5), "{name}: took {took:?}");
+    stderr
 }
 
 /// The fixture `name` with the stored outputs of items `a` and `b`
@@ -227,5 +237,82 @@ fn malformed_shards_fail_cleanly() {
             "\"index\": 1,\n    \"count\": 0",
         );
         assert_rejected(subcommand, &format!("{prefix}-shard"), &hostile);
+    }
+}
+
+/// A campaign spec for curl alone with the given CAD sweep: it passes
+/// every field check.
+fn campaign_spec(client: &str, end_ms: u64, step_ms: u64) -> String {
+    format!(
+        r#"{{"name":"hostile","seed":7,"clients":["{client}"],"resolvers":[],"netem":[],
+"cad":{{"sweep":{{"start_ms":0,"end_ms":{end_ms},"step_ms":{step_ms}}},"repetitions":1}},
+"rd":null,"selection":null,"resolver":null,"refine_step_ms":5}}"#
+    )
+}
+
+/// Asserts `stderr` carries the plan-budget error.
+fn assert_budget(name: &str, stderr: &str) {
+    assert!(
+        stderr.contains("over the budget of 10000000"),
+        "{name}: no budget error\n{stderr}"
+    );
+}
+
+#[test]
+fn specs_over_the_plan_budget_fail_cleanly() {
+    // A 10^12-value first pass.
+    let sweep = scratch("sweep", &campaign_spec("curl-7.88.1", 1_000_000_000_000, 1));
+    // Two first-pass runs whose refinement could plan 2·10^7 more.
+    let refine = scratch(
+        "refine",
+        &campaign_spec("chrome-130.0", 100_000_000, 100_000_000),
+    );
+    // Four billion sessions per member.
+    let fleet = FleetSpec {
+        cad_sessions: 4_000_000_000,
+        repetitions: 4_000_000_000,
+        ..FleetSpec::default()
+    };
+    let fleet = scratch("fleet-sessions", &fleet.to_json());
+    for (name, args) in [
+        ("sweep", ["campaign", "--config", &sweep, "--jobs", "1"]),
+        ("refine", ["campaign", "--config", &refine, "--jobs", "1"]),
+        ("fleet-sessions", ["fleet", "--spec", &fleet, "--jobs", "1"]),
+    ] {
+        assert_budget(name, &assert_fails(name, &args));
+    }
+    for path in [sweep, refine, fleet] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn partials_embedding_specs_over_the_plan_budget_fail_cleanly() {
+    let campaign = edit(
+        "campaign-shard-1of2.json",
+        "\"end_ms\": 250,\n        \"step_ms\": 50",
+        "\"end_ms\": 1000000000000,\n        \"step_ms\": 1",
+    );
+    let stderr = assert_rejected("campaign", "campaign-spec-budget", &campaign);
+    assert_budget("campaign-spec-budget", &stderr);
+    let fleet = edit(
+        "fleet-shard-1of2.json",
+        "\"cad_sessions\": 1,",
+        "\"cad_sessions\": 4000000000,",
+    );
+    let stderr = assert_rejected("fleet", "fleet-spec-budget", &fleet);
+    assert_budget("fleet-spec-budget", &stderr);
+}
+
+#[test]
+fn csv_diffs_are_refused() {
+    let report = fixture("campaign-shard-0of2.json");
+    let report = report.to_str().unwrap();
+    for subcommand in ["campaign", "fleet"] {
+        let stderr = assert_fails(
+            subcommand,
+            &[subcommand, "--diff", report, report, "--format", "csv"],
+        );
+        assert!(stderr.contains("expected text|json"), "{stderr}");
     }
 }

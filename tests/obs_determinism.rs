@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use lazy_eye_inspection::campaign::{
-    build_report_with, run_campaign, run_campaign_resumable_with, CampaignSpec,
+    build_report_with, run_campaign, CampaignOptions, CampaignSpec, Checkpoint,
 };
 use lazy_eye_inspection::fleet::{run_fleet, FleetSpec};
 use lazy_eye_inspection::obs::bundle::Bundle;
@@ -86,9 +86,15 @@ fn flight_recorder_bundles_are_byte_identical_across_jobs() {
             std::env::temp_dir().join(format!("lazyeye-bundle-pin-{}-{jobs}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         trigger::arm(&dir).expect("arm trigger engine");
-        let (runs, outputs) =
-            run_campaign_resumable_with(&spec, jobs, true, &BTreeMap::new(), |_, _| {}, |_, _| {})
-                .unwrap();
+        let fast = CampaignOptions {
+            fast_path: true,
+            classify: false,
+        };
+        let run = Checkpoint::fresh(spec.clone(), None)
+            .unwrap()
+            .run_passes(jobs, &fast, |_, _| {}, |_, _| {})
+            .unwrap();
+        let (runs, outputs) = (run.plan, run.outputs);
         build_report_with(&spec, &runs, &outputs, true);
         trigger::disarm();
         let mut out = BTreeMap::new();
