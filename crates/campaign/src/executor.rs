@@ -5,20 +5,21 @@
 //! their outputs independent of scheduling. The scheduling itself (the
 //! work-stealing pool with index-ordered results) is the shared
 //! [`lazyeye_exec`] layer; this module contributes the campaign-specific
-//! glue: resolving spec ids into profiles once ([`RunContext`]) and
+//! glue: resolving spec ids into profiles once ([`RunContext`]), the one
+//! dispatch from a run to the testbed ([`RunContext::dispatch`]), and
 //! reducing each run to a small [`RunOutput`] on the worker.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use lazyeye_clients::ClientProfile;
 use lazyeye_exec::execute_indexed_with;
 use lazyeye_net::NetemRule;
 use lazyeye_resolver::ResolverProfile;
 use lazyeye_testbed::{
-    run_cad_once, run_rd_once_netem, run_resolver_once_netem, run_selection_once_netem,
-    CadFastPath, CadSample, DelayedRecord, RdFastPath, RdSample, ResolverSample,
-    SelectionCaseConfig, SelectionResult,
+    delayed_record_label, run_cad, run_rd, run_resolver, run_selection, CadFastPath, CadSample,
+    DelayedRecord, RdFastPath, RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
 };
+use lazyeye_trace::Trace;
 
 use crate::plan::{resolve_clients, resolve_resolvers, RunKind, RunSpec, SpecError};
 use crate::spec::CampaignSpec;
@@ -86,7 +87,7 @@ pub enum RunOutput {
 pub struct RunContext {
     /// The spec the context was built from. The forensics layer needs it
     /// on the worker to stamp full provenance into trigger bundles.
-    spec: CampaignSpec,
+    pub(crate) spec: CampaignSpec,
     clients: HashMap<String, ClientProfile>,
     resolvers: HashMap<String, ResolverProfile>,
     netem: HashMap<String, Vec<NetemRule>>,
@@ -94,117 +95,123 @@ pub struct RunContext {
     fast: FastCache,
 }
 
-/// Calibrated fast-path models, one per client (CAD) and per
-/// `(client, delayed record)` (RD). Empty unless the campaign opted into
-/// `--fast-path`. Calibration runs eagerly at context build time — before
-/// workers exist — so the cache is shared immutably afterwards (the
-/// models hold only owned data; `RunContext` must stay `Sync`).
+/// A calibrated analytic model of one CAD or RD cell.
+enum FastModel {
+    Cad(CadFastPath),
+    Rd(RdFastPath),
+}
+
+/// Calibrated fast-path models by client, each tagged with its delayed
+/// record (`None` for the CAD model). Empty unless the campaign opted
+/// into `--fast-path`. Calibration runs eagerly at context build time —
+/// before workers exist — so the cache is shared immutably afterwards
+/// (the models hold only owned data; `RunContext` must stay `Sync`).
 #[derive(Default)]
 struct FastCache {
-    cad: HashMap<String, CadFastPath>,
-    rd: HashMap<(String, DelayedRecord), RdFastPath>,
+    models: HashMap<String, Vec<(Option<DelayedRecord>, FastModel)>>,
 }
 
 impl FastCache {
-    /// Calibrates a model per baseline cell of the expanded plan,
-    /// verifying each against the real first-pass runs at the sweep
-    /// endpoints (rep 0, the runs' own seeds). A client whose model fails
-    /// verification simply stays out of the cache and simulates normally.
+    /// Calibrates a model per baseline CAD/RD cell of the expanded plan,
+    /// in plan order (the order of each cell's first run), verifying each
+    /// against the real first-pass runs at the sweep endpoints (rep 0,
+    /// the runs' own seeds). A cell whose model fails verification simply
+    /// stays out of the cache and simulates normally.
     fn build(ctx: &RunContext, spec: &CampaignSpec, runs: &[RunSpec]) -> FastCache {
-        // (delay -> seed) per subject, baseline netem and rep 0 only.
-        let mut cad_cells: HashMap<&str, std::collections::BTreeMap<u64, u64>> = HashMap::new();
-        let mut rd_cells: HashMap<(&str, DelayedRecord), std::collections::BTreeMap<u64, u64>> =
-            HashMap::new();
+        // (delay -> seed) per cell, baseline netem and rep 0 only.
+        let mut order = Vec::new();
+        let mut cells: HashMap<(&str, Option<DelayedRecord>), BTreeMap<u64, u64>> = HashMap::new();
         for run in runs {
-            match &run.kind {
-                RunKind::Cad {
-                    client,
-                    netem,
-                    delay_ms,
-                    rep: 0,
-                } if ctx.netem(netem).is_empty() => {
-                    cad_cells
-                        .entry(client)
-                        .or_default()
-                        .insert(*delay_ms, run.seed);
-                }
-                RunKind::Rd {
-                    client,
-                    netem,
-                    record,
-                    delay_ms,
-                    rep: 0,
-                } if ctx.netem(netem).is_empty() => {
-                    rd_cells
-                        .entry((client, *record))
-                        .or_default()
-                        .insert(*delay_ms, run.seed);
-                }
-                _ => {}
+            let c = run.kind.coords();
+            if !matches!(c.case, "cad" | "rd") || c.rep != 0 || !ctx.netem(c.netem).is_empty() {
+                continue;
             }
+            cells
+                .entry((c.subject, c.record))
+                .or_insert_with(|| {
+                    order.push((c.subject, c.record));
+                    BTreeMap::new()
+                })
+                .insert(c.delay_ms, run.seed);
         }
-        let endpoints = |m: &std::collections::BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
-            let mut v: Vec<(u64, u64)> = m
+        let mut fast = FastCache::default();
+        for (client, record) in order {
+            let cell = &cells[&(client, record)];
+            let mut endpoints: Vec<(u64, u64)> = cell
                 .first_key_value()
                 .into_iter()
-                .chain(m.last_key_value())
+                .chain(cell.last_key_value())
                 .map(|(d, s)| (*d, *s))
                 .collect();
-            v.dedup();
-            v
-        };
-        let mut fast = FastCache::default();
-        for (client, cells) in cad_cells {
+            endpoints.dedup();
+            let case = record.map_or("cad", delayed_record_label);
+            lazyeye_obs::recorder::record(
+                lazyeye_obs::Clock::Virtual,
+                "fastpath.calibrate",
+                format!("{client} {case}"),
+            );
             let profile = ctx.client(client);
-            if let Some(fp) = CadFastPath::calibrate(profile, spec.seed, &endpoints(&cells)) {
-                fast.cad.insert(client.to_string(), fp);
-            }
-        }
-        for ((client, record), cells) in rd_cells {
-            let profile = ctx.client(client);
-            if let Some(fp) = RdFastPath::calibrate(profile, record, spec.seed, &endpoints(&cells))
-            {
-                fast.rd.insert((client.to_string(), record), fp);
+            let model = match record {
+                None => CadFastPath::calibrate(profile, spec.seed, &endpoints).map(FastModel::Cad),
+                Some(record) => {
+                    RdFastPath::calibrate(profile, record, spec.seed, &endpoints).map(FastModel::Rd)
+                }
+            };
+            if let Some(model) = model {
+                let models = fast.models.entry(client.to_string()).or_default();
+                models.push((record, model));
             }
         }
         fast
     }
+
+    /// The fast-path outcome of a run: `None` when no verified model
+    /// covers it (other cases, shaped netem, no model), else the
+    /// modelled output or the reason the model refused the run.
+    fn run(&self, ctx: &RunContext, kind: &RunKind) -> Option<Result<RunOutput, &'static str>> {
+        let c = kind.coords();
+        if !matches!(c.case, "cad" | "rd") {
+            return None;
+        }
+        let models = self.models.get(c.subject)?;
+        let (_, model) = models.iter().find(|(record, _)| *record == c.record)?;
+        if !ctx.netem(c.netem).is_empty() {
+            return None;
+        }
+        Some(match model {
+            FastModel::Cad(fp) => fp.run_detailed(c.delay_ms, c.rep).map(RunOutput::Cad),
+            FastModel::Rd(fp) => fp.run_detailed(c.delay_ms, c.rep).map(RunOutput::Rd),
+        })
+    }
 }
 
 impl RunContext {
-    /// Builds the context for a spec (resolving ids up front so workers
-    /// never fail on lookups).
-    pub fn new(spec: &CampaignSpec) -> Result<RunContext, SpecError> {
-        Self::build(spec)
-    }
-
-    /// [`RunContext::new`], optionally with the analytic fast path: when
-    /// `fast_path` is set, CAD/RD models are calibrated against the
-    /// expanded plan's own endpoint runs and used for every baseline-netem
-    /// cell they verify on. Cells the models refuse (ties, QUIC profiles,
-    /// shaped netem, failed verification) simulate as usual, so the
-    /// resulting report stays byte-identical either way.
+    /// Builds the context for a spec, resolving ids up front so workers
+    /// never fail on lookups.
+    ///
+    /// With `fast_path`, CAD/RD models are calibrated against the
+    /// expanded plan's own endpoint runs and used for every
+    /// baseline-netem cell they verify on. Cells the models refuse (ties,
+    /// QUIC profiles, shaped netem, failed verification) simulate as
+    /// usual, so the resulting report stays byte-identical either way.
     pub fn new_with(
         spec: &CampaignSpec,
         runs: &[RunSpec],
         fast_path: bool,
     ) -> Result<RunContext, SpecError> {
-        let mut ctx = Self::build(spec)?;
+        let mut ctx = Self::resolved(spec, resolve_clients(spec)?, resolve_resolvers(spec)?);
         if fast_path {
             ctx.fast = FastCache::build(&ctx, spec, runs);
         }
         Ok(ctx)
     }
 
-    fn build(spec: &CampaignSpec) -> Result<RunContext, SpecError> {
-        let clients = resolve_clients(spec)?
-            .into_iter()
-            .map(|c| (c.id(), c))
-            .collect();
-        let resolvers = resolve_resolvers(spec)?
-            .into_iter()
-            .map(|p| (p.name.to_string(), p))
-            .collect();
+    /// A context over already-resolved profiles, without the fast path.
+    pub(crate) fn resolved(
+        spec: &CampaignSpec,
+        clients: Vec<ClientProfile>,
+        resolvers: Vec<ResolverProfile>,
+    ) -> RunContext {
         let mut netem: HashMap<String, Vec<NetemRule>> = spec
             .netem
             .iter()
@@ -222,14 +229,17 @@ impl RunContext {
                 attempt_timeout_ms: s.attempt_timeout_ms,
             })
             .unwrap_or_default();
-        Ok(RunContext {
+        RunContext {
             spec: spec.clone(),
-            clients,
-            resolvers,
+            clients: clients.into_iter().map(|c| (c.id(), c)).collect(),
+            resolvers: resolvers
+                .into_iter()
+                .map(|p| (p.name.to_string(), p))
+                .collect(),
             netem,
             selection,
             fast: FastCache::default(),
-        })
+        }
     }
 
     fn client(&self, id: &str) -> &ClientProfile {
@@ -238,10 +248,52 @@ impl RunContext {
             .unwrap_or_else(|| panic!("run references unresolved client {id:?}"))
     }
 
+    fn resolver(&self, name: &str) -> &ResolverProfile {
+        self.resolvers
+            .get(name)
+            .unwrap_or_else(|| panic!("run references unresolved resolver {name:?}"))
+    }
+
     fn netem(&self, label: &str) -> &[NetemRule] {
         self.netem
             .get(label)
             .unwrap_or_else(|| panic!("run references unresolved netem {label:?}"))
+    }
+
+    /// Runs `run` in a fresh simulation: the one place a campaign run
+    /// reaches the testbed. With `traced`, the run's event trace comes
+    /// back too, labelled with the run's cell condition. The executor
+    /// runs untraced; bundles, replay and profiling run traced
+    /// ([`crate::forensics::capture_trace`]).
+    pub fn dispatch(&self, run: &RunSpec, traced: bool) -> (RunOutput, Option<Trace>) {
+        let condition = traced.then(|| run.kind.condition());
+        let trace = condition.as_deref();
+        let c = run.kind.coords();
+        let (rules, seed) = (self.netem(c.netem), run.seed);
+        match &run.kind {
+            RunKind::Cad { .. } => {
+                let profile = self.client(c.subject);
+                let (sample, trace, _) = run_cad(profile, c.delay_ms, c.rep, seed, rules, trace);
+                (RunOutput::Cad(sample), trace)
+            }
+            RunKind::Rd { record, .. } => {
+                let profile = self.client(c.subject);
+                let (sample, trace, _) =
+                    run_rd(profile, *record, c.delay_ms, c.rep, seed, rules, trace);
+                (RunOutput::Rd(sample), trace)
+            }
+            RunKind::Selection { .. } => {
+                let profile = self.client(c.subject);
+                let (result, trace) =
+                    run_selection(profile, &self.selection, c.rep, seed, rules, trace);
+                (RunOutput::Selection(result), trace)
+            }
+            RunKind::Resolver { .. } => {
+                let profile = self.resolver(c.subject);
+                let (sample, trace) = run_resolver(profile, c.delay_ms, c.rep, seed, rules, trace);
+                (RunOutput::Resolver(sample), trace)
+            }
+        }
     }
 }
 
@@ -279,93 +331,14 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
         None
     };
     let started = std::time::Instant::now();
-    // Why the fast path refused this run, when it did — feeds the
-    // fastpath-fallback trigger after the run completes.
-    let mut refusal: Option<&'static str> = None;
-    let out = match &run.kind {
-        RunKind::Cad {
-            client,
-            netem,
-            delay_ms,
-            rep,
-        } => {
-            let rules = ctx.netem(netem);
-            let fast = rules
-                .is_empty()
-                .then(|| ctx.fast.cad.get(client.as_str()))
-                .flatten()
-                .and_then(|fp| match fp.run_detailed(*delay_ms, *rep) {
-                    Ok(sample) => Some(sample),
-                    Err(reason) => {
-                        refusal = Some(reason);
-                        None
-                    }
-                });
-            RunOutput::Cad(fast.unwrap_or_else(|| {
-                run_cad_once(ctx.client(client), *delay_ms, *rep, run.seed, rules)
-            }))
-        }
-        RunKind::Rd {
-            client,
-            netem,
-            record,
-            delay_ms,
-            rep,
-        } => {
-            let rules = ctx.netem(netem);
-            let fast = rules
-                .is_empty()
-                .then(|| ctx.fast.rd.get(&(client.clone(), *record)))
-                .flatten()
-                .and_then(|fp| match fp.run_detailed(*delay_ms, *rep) {
-                    Ok(sample) => Some(sample),
-                    Err(reason) => {
-                        refusal = Some(reason);
-                        None
-                    }
-                });
-            RunOutput::Rd(fast.unwrap_or_else(|| {
-                run_rd_once_netem(
-                    ctx.client(client),
-                    *record,
-                    *delay_ms,
-                    *rep,
-                    run.seed,
-                    rules,
-                )
-            }))
-        }
-        RunKind::Selection {
-            client,
-            netem,
-            rep: _,
-        } => RunOutput::Selection(run_selection_once_netem(
-            ctx.client(client),
-            &ctx.selection,
-            run.seed,
-            ctx.netem(netem),
-        )),
-        RunKind::Resolver {
-            resolver,
-            netem,
-            delay_ms,
-            rep,
-        } => {
-            let profile = ctx
-                .resolvers
-                .get(resolver)
-                .unwrap_or_else(|| panic!("run references unresolved resolver {resolver:?}"));
-            RunOutput::Resolver(run_resolver_once_netem(
-                profile,
-                *delay_ms,
-                *rep,
-                run.seed,
-                ctx.netem(netem),
-            ))
-        }
+    // A fast-path refusal falls back to full simulation, then feeds the
+    // fastpath-fallback trigger.
+    let (out, refusal) = match ctx.fast.run(ctx, &run.kind) {
+        Some(Ok(out)) => (out, None),
+        refused => (ctx.dispatch(run, false).0, refused.and_then(Result::err)),
     };
     if let Some(reason) = refusal {
-        crate::forensics::on_fastpath_fallback(&ctx.spec, run, reason);
+        crate::forensics::on_fastpath_fallback(ctx, run, reason);
     }
     m.run_wall_us
         .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
@@ -377,20 +350,10 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
 ///
 /// `progress` is invoked on the calling thread after every finished run
 /// with `(finished_so_far, total)` — wire it to a progress bar or ETA
-/// display; it has no effect on the results.
-pub fn execute(
-    ctx: &RunContext,
-    runs: &[RunSpec],
-    jobs: usize,
-    progress: impl FnMut(usize, usize),
-) -> Vec<RunOutput> {
-    execute_with(ctx, runs, jobs, progress, |_, _| {})
-}
-
-/// [`execute`] with a per-result hook: `on_result(position, output)` fires
-/// on the calling thread as each run finishes, where `position` is the
-/// run's position in the `runs` slice. Completion order is
-/// scheduling-dependent — the hook is for side channels (checkpoints,
+/// display; it has no effect on the results. `on_result(position,
+/// output)` fires on the calling thread as each run finishes, where
+/// `position` is the run's position in the `runs` slice. Completion order
+/// is scheduling-dependent — the hook is for side channels (checkpoints,
 /// logs), never for anything that feeds the report.
 pub fn execute_with(
     ctx: &RunContext,
@@ -430,9 +393,9 @@ mod tests {
     fn sharded_matches_sequential() {
         let spec = small_spec();
         let runs = crate::plan::expand(&spec).unwrap();
-        let ctx = RunContext::new(&spec).unwrap();
-        let seq = execute(&ctx, &runs, 1, |_, _| {});
-        let par = execute(&ctx, &runs, 4, |_, _| {});
+        let ctx = RunContext::new_with(&spec, &runs, false).unwrap();
+        let seq = execute_with(&ctx, &runs, 1, |_, _| {}, |_, _| {});
+        let par = execute_with(&ctx, &runs, 4, |_, _| {}, |_, _| {});
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             match (a, b) {
@@ -449,20 +412,21 @@ mod tests {
     fn progress_reaches_total() {
         let spec = small_spec();
         let runs = crate::plan::expand(&spec).unwrap();
-        let ctx = RunContext::new(&spec).unwrap();
+        let ctx = RunContext::new_with(&spec, &runs, false).unwrap();
         let mut last = 0;
-        let _ = execute(&ctx, &runs, 3, |done, total| {
+        let on_progress = |done, total| {
             assert!(done <= total);
             last = done;
-        });
+        };
+        let _ = execute_with(&ctx, &runs, 3, on_progress, |_, _| {});
         assert_eq!(last, runs.len());
     }
 
     fn assert_matches_sequential(spec: &CampaignSpec, jobs: usize) {
         let runs = crate::plan::expand(spec).unwrap();
-        let ctx = RunContext::new(spec).unwrap();
-        let seq = execute(&ctx, &runs, 1, |_, _| {});
-        let par = execute(&ctx, &runs, jobs, |_, _| {});
+        let ctx = RunContext::new_with(spec, &runs, false).unwrap();
+        let seq = execute_with(&ctx, &runs, 1, |_, _| {}, |_, _| {});
+        let par = execute_with(&ctx, &runs, jobs, |_, _| {}, |_, _| {});
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             match (a, b) {
@@ -504,9 +468,9 @@ mod tests {
         };
         let runs = crate::plan::expand(&spec).unwrap();
         assert!(runs.is_empty());
-        let ctx = RunContext::new(&spec).unwrap();
+        let ctx = RunContext::new_with(&spec, &runs, false).unwrap();
         let mut calls = 0;
-        let outputs = execute(&ctx, &runs, 8, |_, _| calls += 1);
+        let outputs = execute_with(&ctx, &runs, 8, |_, _| calls += 1, |_, _| {});
         assert!(outputs.is_empty());
         assert_eq!(calls, 0, "no progress callbacks for an empty campaign");
     }
@@ -533,7 +497,7 @@ mod tests {
     fn on_result_fires_once_per_run_with_matching_positions() {
         let spec = small_spec();
         let runs = crate::plan::expand(&spec).unwrap();
-        let ctx = RunContext::new(&spec).unwrap();
+        let ctx = RunContext::new_with(&spec, &runs, false).unwrap();
         let mut seen = vec![0u32; runs.len()];
         let outputs = execute_with(
             &ctx,

@@ -3,29 +3,27 @@
 //!
 //! The obs crate owns the mechanism (ring buffer, trigger dedup, bundle
 //! schema); this module owns the *meaning*: what full provenance looks
-//! like for a campaign run ([`RunProvenance`]), how to re-execute a run
-//! from provenance alone with tracing on ([`capture_trace`]), and the
-//! per-anomaly hooks the executor, refinement planner and inference
-//! pass call. Because every bundle's virtual section is produced by the
-//! same pure `(provenance) -> trace` function that [`replay`] uses, a
-//! bundle replays byte-identically unless the simulation itself has
-//! become nondeterministic — which is exactly the regression the replay
-//! gate exists to catch.
+//! like for a campaign run ([`RunProvenance`]), how to turn provenance
+//! back into a run ([`RunProvenance::to_run`]) and re-execute it with
+//! tracing on ([`capture_trace`]), and the per-anomaly hooks the
+//! executor, refinement planner and inference pass call. Every bundle's
+//! trace and every replay's regenerated one come from the executor's own
+//! dispatch ([`RunContext::dispatch`]), so a bundle replays
+//! byte-identically unless the simulation itself has become
+//! nondeterministic — which is exactly the regression the replay gate
+//! exists to catch.
 
 use lazyeye_infer::{canonical_condition, detect_switchover, CaseKind, Observation, Verdict};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
-use lazyeye_net::{Family, NetemRule};
+use lazyeye_net::Family;
 use lazyeye_obs::bundle::Bundle;
 use lazyeye_obs::trigger::{self, TriggerKind};
-use lazyeye_testbed::{
-    delayed_record_label, run_cad_once_traced, run_rd_once_traced, run_resolver_once_traced,
-    run_selection_once_traced, DelayedRecord, SelectionCaseConfig,
-};
+use lazyeye_testbed::{delayed_record_label, delayed_record_of};
 use lazyeye_trace::Trace;
 
-use crate::executor::RunOutput;
+use crate::executor::{RunContext, RunOutput};
 use crate::inference::InferenceSection;
-use crate::plan::{RunKind, RunSpec};
+use crate::plan::{validate, RunKind, RunSpec, SpecError};
 use crate::spec::{CampaignSpec, NetemSpec, SelectionPlan};
 
 /// Everything needed to re-execute one campaign run outside the
@@ -73,158 +71,144 @@ lazyeye_json::impl_json_struct!(RunProvenance {
     campaign_seed,
 });
 
-/// Case label of a run kind, matching the aggregation cells.
-fn case_of(kind: &RunKind) -> &'static str {
-    match kind {
-        RunKind::Cad { .. } => "cad",
-        RunKind::Rd { .. } => "rd",
-        RunKind::Selection { .. } => "selection",
-        RunKind::Resolver { .. } => "resolver",
-    }
-}
-
-fn subject_of(kind: &RunKind) -> &str {
-    match kind {
-        RunKind::Cad { client, .. }
-        | RunKind::Rd { client, .. }
-        | RunKind::Selection { client, .. } => client,
-        RunKind::Resolver { resolver, .. } => resolver,
-    }
-}
-
-fn delay_of(kind: &RunKind) -> u64 {
-    match kind {
-        RunKind::Cad { delay_ms, .. }
-        | RunKind::Rd { delay_ms, .. }
-        | RunKind::Resolver { delay_ms, .. } => *delay_ms,
-        RunKind::Selection { .. } => 0,
-    }
-}
-
-fn rep_of(kind: &RunKind) -> u32 {
-    match kind {
-        RunKind::Cad { rep, .. }
-        | RunKind::Rd { rep, .. }
-        | RunKind::Selection { rep, .. }
-        | RunKind::Resolver { rep, .. } => *rep,
-    }
-}
-
-fn netem_label_of(kind: &RunKind) -> &str {
-    match kind {
-        RunKind::Cad { netem, .. }
-        | RunKind::Rd { netem, .. }
-        | RunKind::Selection { netem, .. }
-        | RunKind::Resolver { netem, .. } => netem,
-    }
-}
-
 /// Stamps a run's full provenance: cell coordinates plus the resolved
 /// netem condition and selection plan from the spec.
 pub fn provenance(spec: &CampaignSpec, run: &RunSpec) -> RunProvenance {
-    let kind = &run.kind;
-    let netem_label = netem_label_of(kind);
-    let netem = spec
-        .netem
-        .iter()
-        .find(|n| n.label == netem_label)
-        .cloned()
-        .unwrap_or_else(NetemSpec::baseline);
-    let record = match kind {
-        RunKind::Rd { record, .. } => Some(delayed_record_label(*record).to_string()),
-        _ => None,
-    };
-    let selection = match kind {
-        RunKind::Selection { .. } => spec.selection.clone(),
-        _ => None,
-    };
+    let c = run.kind.coords();
     RunProvenance {
-        case: case_of(kind).to_string(),
-        subject: subject_of(kind).to_string(),
-        condition: kind.condition(),
-        netem,
-        record,
-        delay_ms: delay_of(kind),
-        rep: rep_of(kind),
+        case: c.case.to_string(),
+        subject: c.subject.to_string(),
+        condition: run.kind.condition(),
+        netem: spec
+            .netem
+            .iter()
+            .find(|n| n.label == c.netem)
+            .cloned()
+            .unwrap_or_else(NetemSpec::baseline),
+        record: c.record.map(|r| delayed_record_label(r).to_string()),
+        delay_ms: c.delay_ms,
+        rep: c.rep,
         seed: run.seed,
-        selection,
+        selection: spec.selection.clone().filter(|_| c.case == "selection"),
         campaign: spec.name.clone(),
         campaign_seed: spec.seed,
     }
 }
 
+impl RunProvenance {
+    /// The run this provenance describes, and a context that resolves it:
+    /// the inverse of [`provenance`], in one fallible step. Refuses an
+    /// unknown case or delayed record, a condition that does not match
+    /// the run, and netem or selection fields a spec could not hold. An
+    /// unknown subject is not refused: the run then panics exactly as the
+    /// executor does on it, which is what a `run-panic` bundle records.
+    pub fn to_run(&self) -> Result<(RunContext, RunSpec), SpecError> {
+        let (subject, netem) = (self.subject.clone(), self.netem.label.clone());
+        let (delay_ms, rep) = (self.delay_ms, self.rep);
+        let kind = match self.case.as_str() {
+            "cad" => RunKind::Cad {
+                client: subject,
+                netem,
+                delay_ms,
+                rep,
+            },
+            "rd" => {
+                let label = self.record.as_deref().unwrap_or_default();
+                RunKind::Rd {
+                    client: subject,
+                    netem,
+                    record: delayed_record_of(label)
+                        .ok_or_else(|| format!("unknown delayed record {label:?}"))?,
+                    delay_ms,
+                    rep,
+                }
+            }
+            "selection" => RunKind::Selection {
+                client: subject,
+                netem,
+                rep,
+            },
+            "resolver" => RunKind::Resolver {
+                resolver: subject,
+                netem,
+                delay_ms,
+                rep,
+            },
+            other => return Err(format!("unknown case {other:?}").into()),
+        };
+        if kind.condition() != self.condition {
+            return Err(format!(
+                "condition {:?} does not match the run's {:?}",
+                self.condition,
+                kind.condition()
+            )
+            .into());
+        }
+        let spec = CampaignSpec {
+            name: self.campaign.clone(),
+            seed: self.campaign_seed,
+            netem: vec![self.netem.clone()],
+            selection: self.selection.clone(),
+            ..CampaignSpec::default()
+        };
+        validate(&spec)?;
+        let clients = lazyeye_clients::all_measured_clients()
+            .into_iter()
+            .filter(|c| c.id() == self.subject)
+            .collect();
+        let resolvers = lazyeye_resolver::all_profiles()
+            .into_iter()
+            .filter(|p| p.name == self.subject)
+            .collect();
+        let run = RunSpec {
+            index: 0,
+            seed: self.seed,
+            kind,
+            refined: false,
+        };
+        Ok((RunContext::resolved(&spec, clients, resolvers), run))
+    }
+}
+
 /// The trigger deduplication key of a run: its full cell coordinates,
 /// so the bundle *set* is a pure function of (spec, seed).
-fn run_key(p: &RunProvenance) -> String {
+fn run_key(run: &RunSpec) -> String {
+    let c = run.kind.coords();
+    let condition = run.kind.condition();
     format!(
-        "{}:{}:{}:d{}:r{}",
-        p.case, p.subject, p.condition, p.delay_ms, p.rep
+        "{}:{}:{condition}:d{}:r{}",
+        c.case, c.subject, c.delay_ms, c.rep
     )
 }
 
-/// Resolves a client id against the built-in universe, panicking with
-/// the executor's exact message so a run-panic bundle caused by an
-/// unresolved id reproduces verbatim under [`replay`].
-fn client_profile(id: &str) -> lazyeye_clients::ClientProfile {
-    lazyeye_clients::all_measured_clients()
-        .into_iter()
-        .find(|c| c.id() == id)
-        .unwrap_or_else(|| panic!("run references unresolved client {id:?}"))
+/// Re-executes `run` with tracing on and returns its full event trace.
+/// Pure in the run's provenance: the same run always yields the same
+/// trace — both a bundle's recorded trace and [`replay`]'s regenerated
+/// one come from here.
+pub fn capture_trace(ctx: &RunContext, run: &RunSpec) -> Trace {
+    ctx.dispatch(run, true)
+        .1
+        .expect("a traced run returns its trace")
 }
 
-fn resolver_profile(name: &str) -> lazyeye_resolver::ResolverProfile {
-    lazyeye_resolver::all_profiles()
-        .into_iter()
-        .find(|p| p.name == name)
-        .unwrap_or_else(|| panic!("run references unresolved resolver {name:?}"))
+/// The context the report-time hooks capture traces in: the spec was
+/// resolved when it was planned, so this cannot fail.
+pub(crate) fn planned_context(spec: &CampaignSpec) -> RunContext {
+    RunContext::new_with(spec, &[], false).expect("a planned spec resolves")
 }
 
-/// Re-executes the run a provenance describes, with tracing on, and
-/// returns the full event trace. Pure in `(provenance)`: the same
-/// provenance always yields the same trace — both the bundle's recorded
-/// trace and [`replay`]'s regenerated one come from here.
-pub fn capture_trace(p: &RunProvenance) -> Trace {
-    let rules: Vec<NetemRule> = p.netem.rules();
-    match p.case.as_str() {
-        "cad" => {
-            let profile = client_profile(&p.subject);
-            run_cad_once_traced(&profile, p.delay_ms, p.rep, p.seed, &rules, &p.condition).1
-        }
-        "rd" => {
-            let profile = client_profile(&p.subject);
-            let record = match p.record.as_deref() {
-                Some("delayed-a") => DelayedRecord::A,
-                _ => DelayedRecord::Aaaa,
-            };
-            run_rd_once_traced(
-                &profile,
-                record,
-                p.delay_ms,
-                p.rep,
-                p.seed,
-                &rules,
-                &p.condition,
-            )
-            .1
-        }
-        "selection" => {
-            let profile = client_profile(&p.subject);
-            let cfg = match &p.selection {
-                Some(s) => SelectionCaseConfig {
-                    v6_addresses: s.v6_addresses,
-                    v4_addresses: s.v4_addresses,
-                    attempt_timeout_ms: s.attempt_timeout_ms,
-                },
-                None => SelectionCaseConfig::default(),
-            };
-            run_selection_once_traced(&profile, &cfg, p.rep, p.seed, &rules, &p.condition).1
-        }
-        "resolver" => {
-            let rprofile = resolver_profile(&p.subject);
-            run_resolver_once_traced(&rprofile, p.delay_ms, p.rep, p.seed, &rules, &p.condition).1
-        }
-        other => panic!("bundle provenance: unknown case {other:?}"),
-    }
+/// Fires `kind` for `run`: a bundle with the run's provenance and its
+/// re-captured trace (captured only when the key is new).
+fn fire_traced(ctx: &RunContext, kind: TriggerKind, key: &str, detail: &str, run: &RunSpec) {
+    trigger::fire(kind, key, || {
+        Bundle::new(
+            kind.label(),
+            key,
+            detail,
+            ToJson::to_json(&provenance(&ctx.spec, run)),
+            ToJson::to_json(&capture_trace(ctx, run)),
+        )
+    });
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -241,22 +225,16 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Executor hook: the compiled fast path refused `run` (`reason` is one
 /// of `tie` / `unknown_candidate` / `cached_path` / `quic`) and the
 /// campaign fell back to full simulation.
-pub(crate) fn on_fastpath_fallback(spec: &CampaignSpec, run: &RunSpec, reason: &'static str) {
-    if !trigger::armed() {
-        return;
-    }
-    let p = provenance(spec, run);
-    let key = run_key(&p);
-    trigger::fire(TriggerKind::FastPathFallback, &key, || {
-        let trace = capture_trace(&p);
-        Bundle::new(
-            TriggerKind::FastPathFallback.label(),
-            key.clone(),
+pub(crate) fn on_fastpath_fallback(ctx: &RunContext, run: &RunSpec, reason: &'static str) {
+    if trigger::armed() {
+        fire_traced(
+            ctx,
+            TriggerKind::FastPathFallback,
+            &run_key(run),
             reason,
-            ToJson::to_json(&p),
-            ToJson::to_json(&trace),
-        )
-    });
+            run,
+        );
+    }
 }
 
 /// Executor hook: `run` panicked on a worker. No trace can be captured
@@ -266,14 +244,13 @@ pub(crate) fn on_run_panic(spec: &CampaignSpec, run: &RunSpec, message: &str) {
     if !trigger::armed() {
         return;
     }
-    let p = provenance(spec, run);
-    let key = run_key(&p);
+    let key = run_key(run);
     trigger::fire(TriggerKind::RunPanic, &key, || {
         Bundle::new(
             TriggerKind::RunPanic.label(),
             key.clone(),
             message,
-            ToJson::to_json(&p),
+            ToJson::to_json(&provenance(spec, run)),
             Json::Null,
         )
     });
@@ -286,38 +263,25 @@ pub(crate) fn on_refinement_brackets(spec: &CampaignSpec, pass2: &[RunSpec]) {
     if pass2.is_empty() || !trigger::armed() {
         return;
     }
+    let ctx = planned_context(spec);
     let mut cells: std::collections::BTreeMap<String, Vec<&RunSpec>> =
         std::collections::BTreeMap::new();
     for run in pass2 {
-        let key = format!(
-            "{}:{}:{}",
-            case_of(&run.kind),
-            subject_of(&run.kind),
-            run.kind.condition()
-        );
+        let c = run.kind.coords();
+        let key = format!("{}:{}:{}", c.case, c.subject, run.kind.condition());
         cells.entry(key).or_default().push(run);
     }
     for (key, runs) in cells {
-        // pass2 is index-ordered, so the first entry is the
-        // lowest-index (deterministic) representative.
-        let p = provenance(spec, runs[0]);
-        let delays: Vec<u64> = runs.iter().map(|r| delay_of(&r.kind)).collect();
+        let delays: Vec<u64> = runs.iter().map(|r| r.kind.coords().delay_ms).collect();
         let detail = format!(
             "{} refined runs in [{}, {}] ms",
             runs.len(),
             delays.iter().min().expect("non-empty cell"),
             delays.iter().max().expect("non-empty cell"),
         );
-        trigger::fire(TriggerKind::RefinementBracket, &key, || {
-            let trace = capture_trace(&p);
-            Bundle::new(
-                TriggerKind::RefinementBracket.label(),
-                key.clone(),
-                detail.clone(),
-                ToJson::to_json(&p),
-                ToJson::to_json(&trace),
-            )
-        });
+        // pass2 is index-ordered, so the first entry is the
+        // lowest-index (deterministic) representative.
+        fire_traced(&ctx, TriggerKind::RefinementBracket, &key, &detail, runs[0]);
     }
 }
 
@@ -334,6 +298,7 @@ pub(crate) fn on_inference(
         return;
     }
     debug_assert_eq!(runs.len(), outputs.len());
+    let ctx = planned_context(spec);
     let observations: Vec<Observation> = runs
         .iter()
         .zip(outputs)
@@ -345,7 +310,7 @@ pub(crate) fn on_inference(
 
         // --- changepoint misfits: the step model disagrees with runs --
         if profile.cad.misfits > 0 {
-            fire_misfit(spec, runs, &observations, &profile.subject);
+            fire_misfit(&ctx, runs, &observations, &profile.subject);
         }
 
         // --- DEVIATES verdicts --------------------------------------
@@ -372,19 +337,9 @@ pub(crate) fn on_inference(
             }) else {
                 continue;
             };
-            let p = provenance(spec, &runs[rep_idx]);
             let key = format!("{}:{}", entry.feature, profile.subject);
             let detail = entry.render();
-            trigger::fire(TriggerKind::Deviates, &key, || {
-                let trace = capture_trace(&p);
-                Bundle::new(
-                    TriggerKind::Deviates.label(),
-                    key.clone(),
-                    detail.clone(),
-                    ToJson::to_json(&p),
-                    ToJson::to_json(&trace),
-                )
-            });
+            fire_traced(&ctx, TriggerKind::Deviates, &key, &detail, &runs[rep_idx]);
         }
     }
 
@@ -393,30 +348,26 @@ pub(crate) fn on_inference(
     // attributed stall phase of a representative delayed-A run; a
     // disagreement with the inference verdict is a bug in one of the
     // two layers and gets its own black box.
-    for check in crate::profile::stall_cross_checks(spec, runs, section) {
+    for check in crate::profile::stall_cross_checks(&ctx, runs, section) {
         if check.agrees() {
             continue;
         }
-        let p = provenance(spec, &runs[check.run_index]);
         let key = format!("no-lookup-stall:{}", check.subject);
-        let detail = check.detail();
-        trigger::fire(TriggerKind::AttributionMismatch, &key, || {
-            let trace = capture_trace(&p);
-            Bundle::new(
-                TriggerKind::AttributionMismatch.label(),
-                key.clone(),
-                detail.clone(),
-                ToJson::to_json(&p),
-                ToJson::to_json(&trace),
-            )
-        });
+        let run = &runs[check.run_index];
+        fire_traced(
+            &ctx,
+            TriggerKind::AttributionMismatch,
+            &key,
+            &check.detail(),
+            run,
+        );
     }
 }
 
 /// Fires the inference-misfit trigger for one subject's canonical CAD
 /// cell: refits the changepoint over the cell's points and picks the
 /// first misclassified run (in run-index order) as representative.
-fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], observations: &[Observation], subject: &str) {
+fn fire_misfit(ctx: &RunContext, runs: &[RunSpec], observations: &[Observation], subject: &str) {
     let cad_obs: Vec<&Observation> = observations
         .iter()
         .filter(|o| o.subject == subject && o.case == CaseKind::Cad)
@@ -437,7 +388,6 @@ fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], observations: &[Observatio
     let Some((rep_idx, _)) = cell.iter().find(|(_, pt)| misfit.contains(pt)) else {
         return;
     };
-    let p = provenance(spec, &runs[*rep_idx]);
     let key = format!("cad:{subject}:{cond}");
     let threshold = match fit.threshold_ms {
         Some(t) => format!("{t} ms"),
@@ -447,16 +397,13 @@ fn fire_misfit(spec: &CampaignSpec, runs: &[RunSpec], observations: &[Observatio
         "{} of {} observations misfit the fitted threshold {threshold}",
         fit.misfits, fit.total
     );
-    trigger::fire(TriggerKind::InferenceMisfit, &key, || {
-        let trace = capture_trace(&p);
-        Bundle::new(
-            TriggerKind::InferenceMisfit.label(),
-            key.clone(),
-            detail.clone(),
-            ToJson::to_json(&p),
-            ToJson::to_json(&trace),
-        )
-    });
+    fire_traced(
+        ctx,
+        TriggerKind::InferenceMisfit,
+        &key,
+        &detail,
+        &runs[*rep_idx],
+    );
 }
 
 /// The outcome of replaying one bundle.
@@ -533,12 +480,17 @@ fn first_divergence(recorded: &Trace, regenerated: &Trace) -> String {
 /// diffs the regenerated trace against the recorded one. For run-panic
 /// bundles the run is expected to panic with the recorded message.
 ///
-/// Errors only on malformed bundles; a divergent (but well-formed)
-/// replay returns `identical: false` with the first divergence.
+/// Errors only on malformed bundles, including provenance that does not
+/// describe a run (see [`RunProvenance::to_run`]); a divergent (but
+/// well-formed) replay returns `identical: false` with the first
+/// divergence.
 pub fn replay(bundle: &Bundle) -> Result<ReplayReport, JsonError> {
     let p = RunProvenance::from_json(&bundle.provenance)?;
     let kind = TriggerKind::parse(&bundle.kind)
         .ok_or_else(|| JsonError::new(format!("replay: unknown trigger kind {:?}", bundle.kind)))?;
+    let (ctx, run) = p
+        .to_run()
+        .map_err(|e| JsonError::new(format!("bundle provenance: {e}")))?;
     let mut report = ReplayReport {
         kind: bundle.kind.clone(),
         key: bundle.key.clone(),
@@ -549,7 +501,8 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayReport, JsonError> {
         regenerated_events: 0,
     };
 
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| capture_trace(&p)));
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| capture_trace(&ctx, &run)));
     if kind == TriggerKind::RunPanic {
         match outcome {
             Err(payload) => {
@@ -629,9 +582,12 @@ mod tests {
         let spec = cad_spec();
         let runs = expand(&spec).unwrap();
         let p = provenance(&spec, &runs[1]);
-        let a = capture_trace(&p);
-        let b = capture_trace(&p);
+        let (ctx, run) = p.to_run().unwrap();
+        assert_eq!(provenance(&spec, &run), p, "to_run inverts provenance");
+        let a = capture_trace(&ctx, &run);
+        let b = capture_trace(&ctx, &run);
         assert_eq!(a, b, "same provenance must yield the same trace");
+        assert_eq!(a, capture_trace(&planned_context(&spec), &runs[1]));
         assert!(!a.events.is_empty());
         assert_eq!(a.meta.subject, "chrome-130.0");
         assert_eq!(a.meta.seed, p.seed);
@@ -642,7 +598,7 @@ mod tests {
         let spec = cad_spec();
         let runs = expand(&spec).unwrap();
         let p = provenance(&spec, &runs[0]);
-        let mut trace = capture_trace(&p);
+        let mut trace = capture_trace(&planned_context(&spec), &runs[0]);
         let bundle_ok = Bundle::new(
             "fastpath-fallback",
             "k",
@@ -665,5 +621,41 @@ mod tests {
         let bad = replay(&bundle_bad).unwrap();
         assert!(!bad.identical);
         assert!(bad.divergence.unwrap().contains("event 0"));
+    }
+
+    /// Provenance that names no run among the known cases, records or
+    /// address ranges is an error before anything runs, never a panic.
+    #[test]
+    fn replay_refuses_malformed_provenance() {
+        let spec = CampaignSpec {
+            clients: vec!["chrome-130.0".into()],
+            ..CampaignSpec::default()
+        };
+        let runs = expand(&spec).unwrap();
+        let of_case = |case: &str| {
+            let run = runs.iter().find(|r| r.kind.coords().case == case).unwrap();
+            provenance(&spec, run)
+        };
+        let mut bogus = of_case("cad");
+        bogus.case = "bogus".into();
+        let mut record = of_case("rd");
+        record.record = Some("delayed-zzz".into());
+        let mut condition = of_case("cad");
+        condition.condition = "lossy".into();
+        let mut v4 = of_case("selection");
+        v4.selection.as_mut().unwrap().v4_addresses = 255;
+        let mut v6 = of_case("selection");
+        v6.selection.as_mut().unwrap().v6_addresses = 10_000;
+        for (p, expected) in [
+            (bogus, "unknown case \"bogus\""),
+            (record, "unknown delayed record \"delayed-zzz\""),
+            (condition, "condition \"lossy\" does not match"),
+            (v4, "selection.v4_addresses must be at most 254, got 255"),
+            (v6, "selection.v6_addresses must be at most 9999, got 10000"),
+        ] {
+            let bundle = Bundle::new("deviates", "k", "d", ToJson::to_json(&p), Json::Null);
+            let err = replay(&bundle).expect_err(expected);
+            assert!(err.to_string().contains(expected), "{err}");
+        }
     }
 }

@@ -72,7 +72,7 @@ pub mod spec;
 
 pub use aggregate::{Aggregator, CellReport, FeatureSummary, P2Quantile, StreamStats};
 pub use checkpoint::{merge, CampaignMatrix, CampaignOptions, Checkpoint, Shard};
-pub use executor::{execute, execute_with, run_one, RunContext, RunOutput};
+pub use executor::{execute_with, run_one, RunContext, RunOutput};
 pub use forensics::{replay, ReplayReport, RunProvenance};
 pub use inference::{build_inference, InferenceSection, InferredClientReport};
 pub use plan::{derive_seed, expand, split_rd_condition, RunKind, RunSpec, SpecError};

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use lazyeye_clients::{all_measured_clients, ClientProfile};
 use lazyeye_resolver::{all_profiles, ResolverProfile};
-use lazyeye_testbed::{DelayedRecord, SweepSpec};
+use lazyeye_testbed::{DelayedRecord, SelectionCaseConfig, SweepSpec};
 
 use crate::spec::CampaignSpec;
 
@@ -94,7 +94,60 @@ pub enum RunKind {
     },
 }
 
+/// A run's flat cell coordinates, borrowed from its [`RunKind`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Coords<'a> {
+    /// Case family label (`cad` / `rd` / `selection` / `resolver`).
+    pub case: &'static str,
+    /// Client profile id, or resolver name for resolver runs.
+    pub subject: &'a str,
+    /// Netem condition label.
+    pub netem: &'a str,
+    /// Which record type is delayed, for RD runs.
+    pub record: Option<DelayedRecord>,
+    /// Configured delay (ms); 0 for selection runs.
+    pub delay_ms: u64,
+    /// Repetition index.
+    pub rep: u32,
+}
+
 impl RunKind {
+    /// The run's flat cell coordinates.
+    pub fn coords(&self) -> Coords<'_> {
+        let (case, subject, netem, record, delay_ms, rep) = match self {
+            RunKind::Cad {
+                client,
+                netem,
+                delay_ms,
+                rep,
+            } => ("cad", client, netem, None, *delay_ms, *rep),
+            RunKind::Rd {
+                client,
+                netem,
+                record,
+                delay_ms,
+                rep,
+            } => ("rd", client, netem, Some(*record), *delay_ms, *rep),
+            RunKind::Selection { client, netem, rep } => {
+                ("selection", client, netem, None, 0, *rep)
+            }
+            RunKind::Resolver {
+                resolver,
+                netem,
+                delay_ms,
+                rep,
+            } => ("resolver", resolver, netem, None, *delay_ms, *rep),
+        };
+        Coords {
+            case,
+            subject,
+            netem,
+            record,
+            delay_ms,
+            rep,
+        }
+    }
+
     /// The cell condition this run folds into: the netem label for CAD
     /// cells, the delayed-record label (suffixed with `+netem` for shaped
     /// conditions) for RD cells, the netem label (or `"-"` for baseline)
@@ -206,7 +259,9 @@ pub fn resolve_resolvers(spec: &CampaignSpec) -> Result<Vec<ResolverProfile>, Sp
         .collect()
 }
 
-fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
+/// Checks a spec's field ranges; run provenance is checked through here
+/// too (see [`crate::RunProvenance::to_run`]).
+pub(crate) fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
     let mut labels = BTreeSet::new();
     for n in &spec.netem {
         if !labels.insert(n.label.as_str()) {
@@ -243,6 +298,26 @@ fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
     }
     if spec.refine_step_ms == Some(0) {
         return Err(SpecError::new("refine_step_ms must be > 0 when set"));
+    }
+    if let Some(sel) = &spec.selection {
+        for (field, count, max) in [
+            (
+                "v4_addresses",
+                sel.v4_addresses,
+                SelectionCaseConfig::MAX_V4_ADDRESSES,
+            ),
+            (
+                "v6_addresses",
+                sel.v6_addresses,
+                SelectionCaseConfig::MAX_V6_ADDRESSES,
+            ),
+        ] {
+            if count > max {
+                return Err(SpecError::new(format!(
+                    "selection.{field} must be at most {max}, got {count}"
+                )));
+            }
+        }
     }
     Ok(())
 }

@@ -13,7 +13,8 @@ use lazyeye_obs::profile::FlameGraph;
 use lazyeye_testbed::Table;
 use lazyeye_trace::profile::{attribute, dominant, Attribution};
 
-use crate::forensics;
+use crate::executor::RunContext;
+use crate::forensics::{capture_trace, planned_context};
 use crate::plan::RunSpec;
 use crate::spec::CampaignSpec;
 
@@ -162,20 +163,22 @@ impl LatencyBudget {
 /// flame graph with `case;subject;condition;phase` stacks weighted by
 /// attributed milliseconds.
 pub fn profile_runs(spec: &CampaignSpec, runs: &[RunSpec]) -> (LatencyBudget, FlameGraph) {
+    let ctx = planned_context(spec);
     let mut budget = LatencyBudget::default();
     let mut flame = FlameGraph::new();
     for run in runs {
-        let p = forensics::provenance(spec, run);
-        let attr = if p.case == "resolver" {
+        let c = run.kind.coords();
+        let attr = if c.case == "resolver" {
             // Resolver traces carry only server-side QueryArrived
             // events — there is no client timeline to attribute.
             None
         } else {
-            attribute(&forensics::capture_trace(&p))
+            attribute(&capture_trace(&ctx, run))
         };
+        let condition = run.kind.condition();
         budget.add(
             &mut flame,
-            (&p.case, &p.subject, &p.condition, p.delay_ms),
+            (c.case, c.subject, &condition, c.delay_ms),
             attr.as_ref(),
         );
     }
@@ -228,7 +231,7 @@ impl StallCrossCheck {
 /// defaulting to the RFC 8305 100 ms floor). Cells whose sweep delay
 /// cannot exceed the bracket are skipped — they cannot discriminate.
 pub fn stall_cross_checks(
-    spec: &CampaignSpec,
+    ctx: &RunContext,
     runs: &[crate::plan::RunSpec],
     section: &crate::inference::InferenceSection,
 ) -> Vec<StallCrossCheck> {
@@ -254,21 +257,15 @@ pub fn stall_cross_checks(
                         if *client == profile.subject
                 ) && r.kind.condition() == "delayed-a"
             })
-            .max_by_key(|(i, r)| {
-                let RunKind::Rd { delay_ms, .. } = &r.kind else {
-                    unreachable!("filtered to RD runs");
-                };
-                (*delay_ms, std::cmp::Reverse(*i))
-            });
+            .max_by_key(|(i, r)| (r.kind.coords().delay_ms, std::cmp::Reverse(*i)));
         let Some((run_index, run)) = rep else {
             continue;
         };
-        let p = forensics::provenance(spec, run);
         let ceiling = profile.cad.estimate_ms.unwrap_or(CAD_MIN_MS);
-        if (p.delay_ms as f64) <= ceiling {
+        if (run.kind.coords().delay_ms as f64) <= ceiling {
             continue;
         }
-        let Some(attr) = attribute(&forensics::capture_trace(&p)) else {
+        let Some(attr) = attribute(&capture_trace(ctx, run)) else {
             continue;
         };
         out.push(StallCrossCheck {
@@ -368,7 +365,7 @@ mod tests {
         let (runs, outputs) = (run.plan, run.outputs);
         let report = crate::build_report_with(&spec, &runs, &outputs, true);
         let section = report.inference.expect("classified report");
-        let checks = stall_cross_checks(&spec, &runs, &section);
+        let checks = stall_cross_checks(&planned_context(&spec), &runs, &section);
         assert!(
             !checks.is_empty(),
             "expected at least one measurable stall cross-check"

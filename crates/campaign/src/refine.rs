@@ -15,7 +15,7 @@
 //! function of the spec and the campaign seed — and can never collide
 //! with a first-pass seed stream.
 
-use lazyeye_testbed::{switchover_bracket, DelayedRecord, SweepSpec};
+use lazyeye_testbed::{delayed_record_of, switchover_bracket, SweepSpec};
 
 use crate::aggregate::Aggregator;
 use crate::executor::RunOutput;
@@ -98,11 +98,8 @@ pub fn plan_refinement(
             }
             "rd" => {
                 let (record_label, netem) = crate::plan::split_rd_condition(&cell.condition);
-                let record = match record_label {
-                    "delayed-aaaa" => DelayedRecord::Aaaa,
-                    "delayed-a" => DelayedRecord::A,
-                    other => unreachable!("unknown rd condition {other:?}"),
-                };
+                let record = delayed_record_of(record_label)
+                    .unwrap_or_else(|| unreachable!("unknown rd condition {record_label:?}"));
                 let netem = netem.to_string();
                 let repetitions = spec.rd.as_ref().map_or(1, |r| r.repetitions);
                 for delay_ms in sweep.values() {

@@ -69,7 +69,7 @@ fn cad_spec() -> CampaignSpec {
 fn run_panic_bundle_replays() {
     let _g = TRIGGER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = cad_spec();
-    let ctx = RunContext::new(&spec).unwrap();
+    let ctx = RunContext::new_with(&spec, &[], false).unwrap();
     let dir = arm_scratch("panic");
     let bad = RunSpec {
         index: 999,

@@ -19,7 +19,7 @@
 //! across worker counts, like every other virtual-domain output.
 
 use lazyeye_obs::profile::FlameGraph;
-use lazyeye_testbed::{run_cad_once_traced, run_rd_once_traced, DelayedRecord, Table};
+use lazyeye_testbed::{run_cad, run_rd, DelayedRecord, Table};
 use lazyeye_trace::profile::{attribute, dominant};
 use lazyeye_trace::Trace;
 
@@ -120,34 +120,14 @@ fn probe_seed(fleet_seed: u64, member: &Member, probe_index: u64) -> u64 {
 }
 
 fn probe_trace(member: &Member, probe: &str, seed: u64) -> Trace {
-    match probe {
-        "cad" => run_cad_once_traced(&member.profile, 300, 0, seed, &[], &member.condition).1,
-        "rd-aaaa" => {
-            run_rd_once_traced(
-                &member.profile,
-                DelayedRecord::Aaaa,
-                400,
-                0,
-                seed,
-                &[],
-                &member.condition,
-            )
-            .1
-        }
-        "rd-a" => {
-            run_rd_once_traced(
-                &member.profile,
-                DelayedRecord::A,
-                400,
-                0,
-                seed,
-                &[],
-                &member.condition,
-            )
-            .1
-        }
+    let (profile, condition) = (&member.profile, Some(member.condition.as_str()));
+    let trace = match probe {
+        "cad" => run_cad(profile, 300, 0, seed, &[], condition).1,
+        "rd-aaaa" => run_rd(profile, DelayedRecord::Aaaa, 400, 0, seed, &[], condition).1,
+        "rd-a" => run_rd(profile, DelayedRecord::A, 400, 0, seed, &[], condition).1,
         other => unreachable!("unknown probe {other}"),
-    }
+    };
+    trace.expect("a traced run returns its trace")
 }
 
 /// The fixed probe set, in execution order.

@@ -135,6 +135,15 @@ pub struct SelectionCaseConfig {
     pub attempt_timeout_ms: u64,
 }
 
+impl SelectionCaseConfig {
+    /// Most dead IPv4 addresses a run can offer: `203.0.113.1` to
+    /// `203.0.113.254`.
+    pub const MAX_V4_ADDRESSES: usize = 254;
+    /// Most dead IPv6 addresses a run can offer: `2001:db8:dead::1` to
+    /// `2001:db8:dead::9999` (the index is written into one hextet).
+    pub const MAX_V6_ADDRESSES: usize = 9999;
+}
+
 impl Default for SelectionCaseConfig {
     fn default() -> Self {
         // The paper's setup: ten addresses per family, none responding.

@@ -38,8 +38,7 @@ use lazyeye_sim::SimTime;
 
 use crate::cases::{CadCaseConfig, DelayedRecord, RdCaseConfig};
 use crate::runner::{
-    derive_case_seed, run_cad_once, run_cad_once_log, run_rd_once, run_rd_once_log, CadSample,
-    RdSample, CAD_SEED_TAG, RD_SEED_TAG,
+    derive_case_seed, run_cad, run_rd, sweep, CadSample, RdSample, CAD_SEED_TAG, RD_SEED_TAG,
 };
 use crate::topology::{
     default_local_topology, resolver_addr, server_v4, server_v6, test_domain_topology, www,
@@ -190,7 +189,7 @@ impl CadFastPath {
             aaaa_first,
         };
         for &(delay_ms, run_seed) in verify {
-            let (actual, actual_log) = run_cad_once_log(profile, delay_ms, 0, run_seed);
+            let (actual, _, actual_log) = run_cad(profile, delay_ms, 0, run_seed, &[], None);
             let Ok((predicted, predicted_log)) = fp.run_logged(delay_ms, 0) else {
                 return None;
             };
@@ -254,26 +253,23 @@ pub fn run_cad_case_fast(
     cfg: &CadCaseConfig,
     seed: u64,
 ) -> Vec<CadSample> {
-    let delays = cfg.sweep.values();
-    let verify: Vec<(u64, u64)> = verify_endpoints(&delays)
+    let verify: Vec<(u64, u64)> = verify_endpoints(&cfg.sweep.values())
         .into_iter()
         .map(|d| (d, derive_case_seed(seed, CAD_SEED_TAG, d, 0)))
         .collect();
     let fp = CadFastPath::calibrate(profile, seed, &verify);
-    let mut out = Vec::new();
-    for delay_ms in delays {
-        for rep in 0..cfg.repetitions {
-            let sample = fp
-                .as_ref()
-                .and_then(|fp| fp.run(delay_ms, rep))
-                .unwrap_or_else(|| {
-                    let run_seed = derive_case_seed(seed, CAD_SEED_TAG, delay_ms, rep);
-                    run_cad_once(profile, delay_ms, rep, run_seed, &[])
-                });
-            out.push(sample);
-        }
-    }
-    out
+    sweep(
+        "cad",
+        CAD_SEED_TAG,
+        &cfg.sweep,
+        cfg.repetitions,
+        seed,
+        |d, rep, s| {
+            fp.as_ref()
+                .and_then(|fp| fp.run(d, rep))
+                .unwrap_or_else(|| run_cad(profile, d, rep, s, &[], None).0)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +323,8 @@ impl RdFastPath {
             },
         };
         for &(delay_ms, run_seed) in verify {
-            let (actual, actual_log) = run_rd_once_log(profile, delayed, delay_ms, 0, run_seed);
+            let (actual, _, actual_log) =
+                run_rd(profile, delayed, delay_ms, 0, run_seed, &[], None);
             let Ok((predicted, predicted_log)) = fp.run_logged(delay_ms, 0) else {
                 return None;
             };
@@ -411,26 +408,23 @@ impl RdFastPath {
 /// [`crate::runner::run_rd_case`] through the fast path; see
 /// [`run_cad_case_fast`].
 pub fn run_rd_case_fast(profile: &ClientProfile, cfg: &RdCaseConfig, seed: u64) -> Vec<RdSample> {
-    let delays = cfg.sweep.values();
-    let verify: Vec<(u64, u64)> = verify_endpoints(&delays)
+    let verify: Vec<(u64, u64)> = verify_endpoints(&cfg.sweep.values())
         .into_iter()
         .map(|d| (d, derive_case_seed(seed, RD_SEED_TAG, d, 0)))
         .collect();
     let fp = RdFastPath::calibrate(profile, cfg.delayed, seed, &verify);
-    let mut out = Vec::new();
-    for delay_ms in delays {
-        for rep in 0..cfg.repetitions {
-            let sample = fp
-                .as_ref()
-                .and_then(|fp| fp.run(delay_ms, rep))
-                .unwrap_or_else(|| {
-                    let run_seed = derive_case_seed(seed, RD_SEED_TAG, delay_ms, rep);
-                    run_rd_once(profile, cfg.delayed, delay_ms, rep, run_seed)
-                });
-            out.push(sample);
-        }
-    }
-    out
+    sweep(
+        "rd",
+        RD_SEED_TAG,
+        &cfg.sweep,
+        cfg.repetitions,
+        seed,
+        |d, rep, s| {
+            fp.as_ref()
+                .and_then(|fp| fp.run(d, rep))
+                .unwrap_or_else(|| run_rd(profile, cfg.delayed, d, rep, s, &[], None).0)
+        },
+    )
 }
 
 #[cfg(test)]

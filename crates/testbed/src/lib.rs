@@ -25,13 +25,11 @@ pub use cases::{
 pub use fastpath::{run_cad_case_fast, run_rd_case_fast, CadFastPath, RdFastPath};
 pub use features::{evaluate_client_features, FeatureRow};
 pub use runner::{
-    delayed_record_label, derive_case_seed, run_cad_case, run_cad_case_traced, run_cad_once,
-    run_cad_once_traced, run_rd_case, run_rd_case_traced, run_rd_once, run_rd_once_netem,
-    run_rd_once_traced, run_resolver_case, run_resolver_case_traced, run_resolver_once,
-    run_resolver_once_netem, run_resolver_once_traced, run_selection_case,
-    run_selection_once_netem, run_selection_once_traced, summarize_cad, summarize_rd,
-    summarize_resolver, switchover_bracket, CadSample, CadSummary, RdSample, RdSummary,
-    ResolverSample, ResolverStats, SelectionResult, CAD_SEED_TAG, RD_SEED_TAG, RESOLVER_SEED_TAG,
+    delayed_record_label, delayed_record_of, derive_case_seed, run_cad, run_cad_case, run_rd,
+    run_rd_case, run_resolver, run_resolver_case, run_selection, run_selection_case, summarize_cad,
+    summarize_rd, summarize_resolver, sweep, switchover_bracket, CadSample, CadSummary, RdSample,
+    RdSummary, ResolverSample, ResolverStats, SelectionResult, CAD_SEED_TAG, RD_SEED_TAG,
+    RESOLVER_SEED_TAG,
 };
 pub use table::Table;
 pub use topology::{reset_zone_cache, zone_cache_stats, ZoneCacheStats};
@@ -240,7 +238,8 @@ mod tests {
     #[test]
     fn traced_cad_run_round_trips_and_matches_sample() {
         use lazyeye_json::{FromJson, Json};
-        let (sample, trace) = run_cad_once_traced(&client("Chrome"), 1000, 0, 21, &[], "baseline");
+        let (sample, trace, _) = run_cad(&client("Chrome"), 1000, 0, 21, &[], Some("baseline"));
+        let trace = trace.expect("trace requested");
         assert_eq!(sample.family, Some(Family::V4), "1 s v6 delay forces v4");
         assert_eq!(trace.established_family(), Some(Family::V4));
         let trace_cad = trace.observed_cad_ms().unwrap();
@@ -267,16 +266,17 @@ mod tests {
     #[test]
     fn traced_rd_run_records_the_armed_delay() {
         let safari = safari_clients().into_iter().find(|c| !c.mobile).unwrap();
-        let (sample, trace) = run_rd_once_traced(
+        let (sample, trace, _) = run_rd(
             &safari,
             DelayedRecord::Aaaa,
             300,
             0,
             22,
             &[],
-            "delayed-aaaa",
+            Some("delayed-aaaa"),
         );
         assert!(sample.used_rd);
+        let trace = trace.expect("trace requested");
         assert_eq!(trace.resolution_delay_ms(), Some(50), "Safari arms 50 ms");
     }
 

@@ -2,11 +2,13 @@
 //! repetitions with a fresh simulation per run (the paper's container
 //! reset), and analyze captures into samples.
 //!
-//! Every single-run entry point has a `*_traced` sibling that additionally
-//! emits a structured [`Trace`]: the client-side engine events merged with
-//! the server-side query arrivals, ready for `lazyeye-infer`.
-
-use std::net::IpAddr;
+//! Each case has one single-run entry point — [`run_cad`], [`run_rd`],
+//! [`run_selection`], [`run_resolver`] — and [`sweep`] runs one over a
+//! case's `(delay, rep)` grid. Given a trace label, a run also emits a
+//! structured [`Trace`]: the client-side engine events merged with the
+//! server-side query arrivals, ready for `lazyeye-infer`. The trace
+//! (string-heavy event records) is only built when asked for: campaign
+//! sweeps make hundreds of thousands of untraced runs.
 
 use lazyeye_authns::{DelayTarget, QueryLogEntry};
 use lazyeye_clients::{Client, ClientProfile};
@@ -16,7 +18,7 @@ use lazyeye_sim::SimTime;
 use lazyeye_trace::{Trace, TraceEvent, TraceEventKind, TraceMeta};
 
 use crate::cases::{
-    CadCaseConfig, DelayedRecord, RdCaseConfig, ResolverCaseConfig, SelectionCaseConfig,
+    CadCaseConfig, DelayedRecord, RdCaseConfig, ResolverCaseConfig, SelectionCaseConfig, SweepSpec,
 };
 use crate::topology::{
     default_local_topology, resolver_addr, resolver_topology_for_delay, test_domain_topology, www,
@@ -110,57 +112,16 @@ pub struct CadSample {
 /// netem rules model additional path conditions (loss, jitter) and apply
 /// to the server egress alongside the configured IPv6 delay.
 ///
-/// This is the campaign engine's CAD entry point; [`run_cad_case`] wraps
-/// it for sweeps, [`run_cad_once_traced`] additionally emits the trace.
-pub fn run_cad_once(
+/// `trace` labels the netem condition in the trace metadata; the trace is
+/// built only when it is given. The raw engine event log is returned too:
+/// the fast-path calibrator's ground truth for byte-equality checks.
+pub fn run_cad(
     profile: &ClientProfile,
     delay_ms: u64,
     rep: u32,
     seed: u64,
     extra_netem: &[NetemRule],
-) -> CadSample {
-    run_cad_once_impl(profile, delay_ms, rep, seed, extra_netem, None).0
-}
-
-/// [`run_cad_once`] plus the structured event trace of the run:
-/// client-side engine events merged with server-side query arrivals.
-/// `condition` labels the netem condition in the trace metadata.
-pub fn run_cad_once_traced(
-    profile: &ClientProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: &str,
-) -> (CadSample, Trace) {
-    let (sample, trace, _log) =
-        run_cad_once_impl(profile, delay_ms, rep, seed, extra_netem, Some(condition));
-    (sample, trace.expect("trace requested"))
-}
-
-/// [`run_cad_once`] plus the raw engine event log — the fast-path
-/// calibrator's ground truth for byte-equality verification.
-pub(crate) fn run_cad_once_log(
-    profile: &ClientProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-) -> (CadSample, lazyeye_core::HeLog) {
-    let (sample, _trace, log) = run_cad_once_impl(profile, delay_ms, rep, seed, &[], None);
-    (sample, log)
-}
-
-/// The measurement itself; the trace (string-heavy event records) is only
-/// materialised when a condition label is supplied — campaign sweeps call
-/// the untraced entry point hundreds of thousands of times and used to
-/// build and immediately discard every trace.
-fn run_cad_once_impl(
-    profile: &ClientProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: Option<&str>,
+    trace: Option<&str>,
 ) -> (CadSample, Option<Trace>, lazyeye_core::HeLog) {
     let mut topo = default_local_topology(seed);
     // The paper shapes IPv6 on the server side with tc-netem.
@@ -188,7 +149,7 @@ fn run_cad_once_impl(
         (Some(x), Some(y)) => Some(x < y),
         _ => None,
     };
-    let trace = condition.map(|condition| {
+    let trace = trace.map(|condition| {
         let mut trace = Trace::from_he_log(
             TraceMeta {
                 subject: profile.id(),
@@ -213,11 +174,6 @@ fn run_cad_once_impl(
     (sample, trace, res.log)
 }
 
-/// Runs the CAD case for one client profile.
-pub fn run_cad_case(profile: &ClientProfile, cfg: &CadCaseConfig, seed: u64) -> Vec<CadSample> {
-    run_cad_case_traced(profile, cfg, seed).0
-}
-
 /// Counts one testbed case sweep in the metrics registry and opens a
 /// wall-clock span over it when the span recorder is armed.
 fn case_span(case: &'static str) -> Option<lazyeye_obs::trace::SpanGuard> {
@@ -225,25 +181,42 @@ fn case_span(case: &'static str) -> Option<lazyeye_obs::trace::SpanGuard> {
     lazyeye_obs::trace::wall_span(format!("testbed.{case}"))
 }
 
-/// [`run_cad_case`] plus the trace set of every run in the sweep.
-pub fn run_cad_case_traced(
-    profile: &ClientProfile,
-    cfg: &CadCaseConfig,
+/// Runs `run(delay_ms, rep, run_seed)` over a sweep's `(delay, rep)`
+/// grid, delay-major, and counts it as one `case` sweep. Run seeds derive
+/// from `seed` under the case's domain-separation `tag` (see
+/// [`derive_case_seed`]).
+pub fn sweep<T>(
+    case: &'static str,
+    tag: u64,
+    grid: &SweepSpec,
+    repetitions: u32,
     seed: u64,
-) -> (Vec<CadSample>, lazyeye_trace::TraceSet) {
-    let _span = case_span("cad");
+    mut run: impl FnMut(u64, u32, u64) -> T,
+) -> Vec<T> {
+    let _span = case_span(case);
     let mut out = Vec::new();
-    let mut traces = lazyeye_trace::TraceSet::default();
-    for delay_ms in cfg.sweep.values() {
-        for rep in 0..cfg.repetitions {
-            let run_seed = derive_case_seed(seed, CAD_SEED_TAG, delay_ms, rep);
-            let (sample, trace) =
-                run_cad_once_traced(profile, delay_ms, rep, run_seed, &[], "baseline");
-            out.push(sample);
-            traces.push(trace);
+    for delay_ms in grid.values() {
+        for rep in 0..repetitions {
+            out.push(run(
+                delay_ms,
+                rep,
+                derive_case_seed(seed, tag, delay_ms, rep),
+            ));
         }
     }
-    (out, traces)
+    out
+}
+
+/// Runs the CAD case for one client profile.
+pub fn run_cad_case(profile: &ClientProfile, cfg: &CadCaseConfig, seed: u64) -> Vec<CadSample> {
+    sweep(
+        "cad",
+        CAD_SEED_TAG,
+        &cfg.sweep,
+        cfg.repetitions,
+        seed,
+        |d, rep, s| run_cad(profile, d, rep, s, &[], None).0,
+    )
 }
 
 /// Aggregate view of a CAD sweep (one Figure 2 row + the Table 2 columns).
@@ -322,80 +295,25 @@ pub fn delayed_record_label(delayed: DelayedRecord) -> &'static str {
     }
 }
 
+/// The delayed record type a cell label names: the inverse of
+/// [`delayed_record_label`].
+pub fn delayed_record_of(label: &str) -> Option<DelayedRecord> {
+    [DelayedRecord::Aaaa, DelayedRecord::A]
+        .into_iter()
+        .find(|r| delayed_record_label(*r) == label)
+}
+
 /// Runs a single Resolution-Delay measurement: one fresh simulation, one
-/// delayed record type, one configured DNS answer delay.
-///
-/// This is the classic RD entry point; [`run_rd_case`] wraps it for
-/// sweeps, [`run_rd_once_netem`] adds path conditions and
-/// [`run_rd_once_traced`] additionally emits the trace.
-pub fn run_rd_once(
-    profile: &ClientProfile,
-    delayed: DelayedRecord,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-) -> RdSample {
-    run_rd_once_netem(profile, delayed, delay_ms, rep, seed, &[])
-}
-
-/// [`run_rd_once`] with extra netem rules on the server egress — the
-/// campaign engine's RD entry point (netem is a cell axis there).
-pub fn run_rd_once_netem(
+/// delayed record type, one configured DNS answer delay, extra netem rules
+/// on the server egress. Traces and logs as [`run_cad`] does.
+pub fn run_rd(
     profile: &ClientProfile,
     delayed: DelayedRecord,
     delay_ms: u64,
     rep: u32,
     seed: u64,
     extra_netem: &[NetemRule],
-) -> RdSample {
-    run_rd_once_impl(profile, delayed, delay_ms, rep, seed, extra_netem, None).0
-}
-
-/// [`run_rd_once`] plus the raw engine event log — the fast-path
-/// calibrator's ground truth for byte-equality verification.
-pub(crate) fn run_rd_once_log(
-    profile: &ClientProfile,
-    delayed: DelayedRecord,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-) -> (RdSample, lazyeye_core::HeLog) {
-    let (sample, _trace, log) = run_rd_once_impl(profile, delayed, delay_ms, rep, seed, &[], None);
-    (sample, log)
-}
-
-/// [`run_rd_once_netem`] plus the structured event trace of the run.
-pub fn run_rd_once_traced(
-    profile: &ClientProfile,
-    delayed: DelayedRecord,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: &str,
-) -> (RdSample, Trace) {
-    let (sample, trace, _log) = run_rd_once_impl(
-        profile,
-        delayed,
-        delay_ms,
-        rep,
-        seed,
-        extra_netem,
-        Some(condition),
-    );
-    (sample, trace.expect("trace requested"))
-}
-
-/// The RD measurement; the trace is built only when a condition label is
-/// supplied (see `run_cad_once_impl`).
-fn run_rd_once_impl(
-    profile: &ClientProfile,
-    delayed: DelayedRecord,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: Option<&str>,
+    trace: Option<&str>,
 ) -> (RdSample, Option<Trace>, lazyeye_core::HeLog) {
     let target = match delayed {
         DelayedRecord::Aaaa => DelayTarget::Aaaa,
@@ -427,7 +345,7 @@ fn run_rd_once_impl(
         .chain(topo.client.capture().first_syn(Family::V4))
         .min()
         .map(|t: SimTime| t.as_nanos() as f64 / 1e6);
-    let trace = condition.map(|condition| {
+    let trace = trace.map(|condition| {
         let mut trace = Trace::from_he_log(
             TraceMeta {
                 subject: profile.id(),
@@ -455,35 +373,14 @@ fn run_rd_once_impl(
 
 /// Runs the RD case (delaying AAAA or A per config) for one client.
 pub fn run_rd_case(profile: &ClientProfile, cfg: &RdCaseConfig, seed: u64) -> Vec<RdSample> {
-    run_rd_case_traced(profile, cfg, seed).0
-}
-
-/// [`run_rd_case`] plus the trace set of every run in the sweep.
-pub fn run_rd_case_traced(
-    profile: &ClientProfile,
-    cfg: &RdCaseConfig,
-    seed: u64,
-) -> (Vec<RdSample>, lazyeye_trace::TraceSet) {
-    let _span = case_span("rd");
-    let mut out = Vec::new();
-    let mut traces = lazyeye_trace::TraceSet::default();
-    for delay_ms in cfg.sweep.values() {
-        for rep in 0..cfg.repetitions {
-            let run_seed = derive_case_seed(seed, RD_SEED_TAG, delay_ms, rep);
-            let (sample, trace) = run_rd_once_traced(
-                profile,
-                cfg.delayed,
-                delay_ms,
-                rep,
-                run_seed,
-                &[],
-                delayed_record_label(cfg.delayed),
-            );
-            out.push(sample);
-            traces.push(trace);
-        }
-    }
-    (out, traces)
+    sweep(
+        "rd",
+        RD_SEED_TAG,
+        &cfg.sweep,
+        cfg.repetitions,
+        seed,
+        |d, rep, s| run_rd(profile, cfg.delayed, d, rep, s, &[], None).0,
+    )
 }
 
 /// Aggregate view of an RD sweep.
@@ -546,43 +443,18 @@ pub fn run_selection_case(
     seed: u64,
 ) -> SelectionResult {
     let _span = case_span("selection");
-    run_selection_once_impl(profile, cfg, 0, seed, &[], None).0
+    run_selection(profile, cfg, 0, seed, &[], None).0
 }
 
-/// [`run_selection_case`] with extra netem rules on the server egress —
-/// the campaign engine's selection entry point (netem is a cell axis).
-pub fn run_selection_once_netem(
-    profile: &ClientProfile,
-    cfg: &SelectionCaseConfig,
-    seed: u64,
-    extra_netem: &[NetemRule],
-) -> SelectionResult {
-    run_selection_once_impl(profile, cfg, 0, seed, extra_netem, None).0
-}
-
-/// [`run_selection_case`] plus the structured event trace of the run.
-pub fn run_selection_once_traced(
+/// Runs a single address-selection measurement with extra netem rules on
+/// the server egress; traces as [`run_cad`] does.
+pub fn run_selection(
     profile: &ClientProfile,
     cfg: &SelectionCaseConfig,
     rep: u32,
     seed: u64,
     extra_netem: &[NetemRule],
-    condition: &str,
-) -> (SelectionResult, Trace) {
-    let (result, trace) =
-        run_selection_once_impl(profile, cfg, rep, seed, extra_netem, Some(condition));
-    (result, trace.expect("trace requested"))
-}
-
-/// The selection measurement; the trace is built only when a condition
-/// label is supplied (see `run_cad_once_impl`).
-fn run_selection_once_impl(
-    profile: &ClientProfile,
-    cfg: &SelectionCaseConfig,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: Option<&str>,
+    trace: Option<&str>,
 ) -> (SelectionResult, Option<Trace>) {
     let dead_v4: Vec<std::net::Ipv4Addr> = (1..=cfg.v4_addresses)
         .map(|i| format!("203.0.113.{i}").parse().unwrap())
@@ -602,7 +474,7 @@ fn run_selection_once_impl(
     let res = topo
         .sim
         .block_on(async move { client.connect_only(&qname, 80).await });
-    let trace = condition.map(|condition| {
+    let trace = trace.map(|condition| {
         let mut trace = Trace::from_he_log(
             TraceMeta {
                 subject: profile.id(),
@@ -655,56 +527,16 @@ pub struct ResolverSample {
 
 /// Runs a single resolver measurement: one fresh simulation with a
 /// per-run unique zone (served from the `(tag, delay)` zone cache), one
-/// configured IPv6-path delay towards the authoritative NS.
-///
-/// [`run_resolver_case`] wraps it for sweeps, [`run_resolver_once_netem`]
-/// adds path conditions and [`run_resolver_once_traced`] additionally
-/// emits the trace.
-pub fn run_resolver_once(
-    rprofile: &ResolverProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-) -> ResolverSample {
-    run_resolver_once_netem(rprofile, delay_ms, rep, seed, &[])
-}
-
-/// [`run_resolver_once`] with extra netem rules on the authoritative
-/// server's egress — the campaign engine's resolver entry point.
-pub fn run_resolver_once_netem(
+/// configured IPv6-path delay towards the authoritative NS, extra netem
+/// rules on its egress. The trace, when asked for, holds the server-side
+/// query arrivals at the authoritative NS.
+pub fn run_resolver(
     rprofile: &ResolverProfile,
     delay_ms: u64,
     rep: u32,
     seed: u64,
     extra_netem: &[NetemRule],
-) -> ResolverSample {
-    run_resolver_once_impl(rprofile, delay_ms, rep, seed, extra_netem, None).0
-}
-
-/// [`run_resolver_once_netem`] plus the server-side event trace of the
-/// run (query arrivals at the authoritative NS).
-pub fn run_resolver_once_traced(
-    rprofile: &ResolverProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: &str,
-) -> (ResolverSample, Trace) {
-    let (sample, trace) =
-        run_resolver_once_impl(rprofile, delay_ms, rep, seed, extra_netem, Some(condition));
-    (sample, trace.expect("trace requested"))
-}
-
-/// The resolver measurement; the trace is built only when a condition
-/// label is supplied (see `run_cad_once_impl`).
-fn run_resolver_once_impl(
-    rprofile: &ResolverProfile,
-    delay_ms: u64,
-    rep: u32,
-    seed: u64,
-    extra_netem: &[NetemRule],
-    condition: Option<&str>,
+    trace: Option<&str>,
 ) -> (ResolverSample, Option<Trace>) {
     let tag = format!("d{delay_ms}r{rep}");
     let mut topo = resolver_topology_for_delay(seed, &tag, delay_ms);
@@ -757,7 +589,7 @@ fn run_resolver_once_impl(
     };
     let served_over_v6 =
         resolved && first_query_family == Some(Family::V6) && v4_queries.is_empty();
-    let trace = condition.map(|condition| Trace {
+    let trace = trace.map(|condition| Trace {
         meta: TraceMeta {
             subject: rprofile.name.to_string(),
             case: "resolver".to_string(),
@@ -787,28 +619,14 @@ pub fn run_resolver_case(
     cfg: &ResolverCaseConfig,
     seed: u64,
 ) -> Vec<ResolverSample> {
-    run_resolver_case_traced(rprofile, cfg, seed).0
-}
-
-/// [`run_resolver_case`] plus the trace set of every run in the sweep.
-pub fn run_resolver_case_traced(
-    rprofile: &ResolverProfile,
-    cfg: &ResolverCaseConfig,
-    seed: u64,
-) -> (Vec<ResolverSample>, lazyeye_trace::TraceSet) {
-    let _span = case_span("resolver");
-    let mut out = Vec::new();
-    let mut traces = lazyeye_trace::TraceSet::default();
-    for delay_ms in cfg.sweep.values() {
-        for rep in 0..cfg.repetitions {
-            let run_seed = derive_case_seed(seed, RESOLVER_SEED_TAG, delay_ms, rep);
-            let (sample, trace) =
-                run_resolver_once_traced(rprofile, delay_ms, rep, run_seed, &[], "-");
-            out.push(sample);
-            traces.push(trace);
-        }
-    }
-    (out, traces)
+    sweep(
+        "resolver",
+        RESOLVER_SEED_TAG,
+        &cfg.sweep,
+        cfg.repetitions,
+        seed,
+        |d, rep, s| run_resolver(rprofile, d, rep, s, &[], None).0,
+    )
 }
 
 /// Aggregate resolver statistics — one row of the paper's Table 3.
@@ -869,29 +687,6 @@ pub fn summarize_resolver(samples: &[ResolverSample]) -> ResolverStats {
         success_pct: 100.0 * samples.iter().filter(|s| s.resolved).count() as f64
             / samples.len().max(1) as f64,
     }
-}
-
-/// Formats an optional IPv6 address count/delay for tables.
-pub fn fmt_opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
-}
-
-/// Formats an optional float with one decimal.
-pub fn fmt_opt_f64(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.1}")).unwrap_or_else(|| "-".into())
-}
-
-/// Tracks which IP addresses the samples used — exposed for tests.
-pub fn distinct_families(order: &[Family]) -> (usize, usize) {
-    (
-        order.iter().filter(|f| **f == Family::V6).count(),
-        order.iter().filter(|f| **f == Family::V4).count(),
-    )
-}
-
-/// Helper for tests that need an address list.
-pub fn dead_addr(i: usize) -> IpAddr {
-    format!("203.0.113.{i}").parse().unwrap()
 }
 
 #[cfg(test)]

@@ -55,10 +55,10 @@ use lazy_eye_inspection::net::Family;
 use lazy_eye_inspection::obs::profile::FlameGraph;
 use lazy_eye_inspection::resolver::all_profiles;
 use lazy_eye_inspection::testbed::{
-    run_cad_case, run_cad_case_traced, run_rd_case, run_rd_case_traced, run_resolver_case,
-    run_resolver_case_traced, run_selection_case, run_selection_once_traced, summarize_cad,
-    summarize_rd, summarize_resolver, CadCaseConfig, DelayedRecord, RdCaseConfig,
-    ResolverCaseConfig, SelectionCaseConfig, SweepSpec, Table, TestbedConfig,
+    delayed_record_label, run_cad, run_cad_case, run_rd, run_rd_case, run_resolver,
+    run_resolver_case, run_selection, run_selection_case, summarize_cad, summarize_rd,
+    summarize_resolver, sweep, DelayedRecord, SelectionCaseConfig, SweepSpec, Table, TestbedConfig,
+    CAD_SEED_TAG, RD_SEED_TAG, RESOLVER_SEED_TAG,
 };
 use lazy_eye_inspection::trace::profile::{attribute, Attribution};
 use lazy_eye_inspection::trace::{Trace, TraceSet};
@@ -305,14 +305,21 @@ fn fmt_share(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.1} %")).unwrap_or_else(|| "-".into())
 }
 
-/// Writes a trace set to `path` when `--emit-trace` was given.
-fn emit_trace_set(flags: &Flags, traces: &TraceSet) -> Result<(), String> {
+/// Splits traced runs into their samples, writing the traces as one set
+/// to the `--emit-trace` path when one was given.
+fn emit_traces<S>(flags: &Flags, runs: Vec<(S, Option<Trace>)>) -> Result<Vec<S>, String> {
+    let mut traces = TraceSet::default();
+    let mut samples = Vec::new();
+    for (sample, trace) in runs {
+        samples.push(sample);
+        traces.push(trace.expect("a traced run returns its trace"));
+    }
     if let Some(path) = flags.get("--emit-trace") {
         std::fs::write(path, traces.to_json_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[trace] wrote {} trace(s) to {path}", traces.traces.len());
     }
-    Ok(())
+    Ok(samples)
 }
 
 /// Text rendering of inferred profiles + verdicts (the `infer` command).
@@ -1239,12 +1246,12 @@ fn run(args: &[String]) -> Cmd {
             if step == 0 {
                 return Err("flag --step: must be > 0".into());
             }
-            let cfg = CadCaseConfig {
-                sweep: SweepSpec::new(from, to, step),
-                repetitions: reps,
-            };
-            let (samples, traces) = run_cad_case_traced(&profile, &cfg, seed);
-            emit_trace_set(&flags, &traces)?;
+            let grid = SweepSpec::new(from, to, step);
+            let runs = sweep("cad", CAD_SEED_TAG, &grid, reps, seed, |d, rep, s| {
+                let (sample, trace, _) = run_cad(&profile, d, rep, s, &[], Some("baseline"));
+                (sample, trace)
+            });
+            let samples = emit_traces(&flags, runs)?;
             let strip: String = samples
                 .iter()
                 .map(|s| match s.family {
@@ -1287,13 +1294,13 @@ fn run(args: &[String]) -> Cmd {
             };
             let delay = parse_num(&flags, "--delay", 400)?;
             let seed = parse_num(&flags, "--seed", 1u64)?;
-            let cfg = RdCaseConfig {
-                delayed: record,
-                sweep: SweepSpec::new(delay, delay, 1),
-                repetitions: 3,
-            };
-            let (samples, traces) = run_rd_case_traced(&profile, &cfg, seed);
-            emit_trace_set(&flags, &traces)?;
+            let label = Some(delayed_record_label(record));
+            let grid = SweepSpec::new(delay, delay, 1);
+            let runs = sweep("rd", RD_SEED_TAG, &grid, 3, seed, |d, rep, s| {
+                let (sample, trace, _) = run_rd(&profile, record, d, rep, s, &[], label);
+                (sample, trace)
+            });
+            let samples = emit_traces(&flags, runs)?;
             for s in &samples {
                 println!(
                     "delay {} ms rep {}: family {:?}, first SYN at {:?} ms, RD used: {}",
@@ -1313,17 +1320,9 @@ fn run(args: &[String]) -> Cmd {
                 return Err(format!("unknown client {id:?}"));
             };
             let seed = parse_num(&flags, "--seed", 1u64)?;
-            let (r, trace) = run_selection_once_traced(
-                &profile,
-                &SelectionCaseConfig::default(),
-                0,
-                seed,
-                &[],
-                "-",
-            );
-            let mut traces = TraceSet::default();
-            traces.push(trace);
-            emit_trace_set(&flags, &traces)?;
+            let cfg = SelectionCaseConfig::default();
+            let run = run_selection(&profile, &cfg, 0, seed, &[], Some("-"));
+            let r = emit_traces(&flags, vec![run])?.remove(0);
             let order: String = r
                 .order
                 .iter()
@@ -1353,16 +1352,20 @@ fn run(args: &[String]) -> Cmd {
             };
             let reps = parse_num(&flags, "--reps", 20)?;
             let seed = parse_num(&flags, "--seed", 1u64)?;
-            let cfg = ResolverCaseConfig {
-                sweep: SweepSpec::new(
-                    0,
-                    profile.policy.server_timeout.as_millis() as u64 + 400,
-                    200,
-                ),
-                repetitions: reps,
-            };
-            let (samples, traces) = run_resolver_case_traced(&profile, &cfg, seed);
-            emit_trace_set(&flags, &traces)?;
+            let grid = SweepSpec::new(
+                0,
+                profile.policy.server_timeout.as_millis() as u64 + 400,
+                200,
+            );
+            let runs = sweep(
+                "resolver",
+                RESOLVER_SEED_TAG,
+                &grid,
+                reps,
+                seed,
+                |d, rep, s| run_resolver(&profile, d, rep, s, &[], Some("-")),
+            );
+            let samples = emit_traces(&flags, runs)?;
             let stats = summarize_resolver(&samples);
             println!(
                 "{}: IPv6 share {}, max v6 delay {:?} ms, per-try timeout {:?} ms, max v6 packets {}",

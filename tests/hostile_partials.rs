@@ -10,13 +10,14 @@
 //! its planned item, a malformed shard, an embedded spec that plans past
 //! the kernel's item budget — must exit 1 with an error, never a panic or
 //! an out-of-memory abort, and within 5 s under a 1.5 GB address-space
-//! limit. So must a fresh run of such a spec.
+//! limit. So must a fresh run of such a spec, or of one asking for more
+//! dead selection addresses than a run can number.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-use lazy_eye_inspection::campaign::Checkpoint;
+use lazy_eye_inspection::campaign::{CampaignSpec, Checkpoint, SelectionPlan};
 use lazy_eye_inspection::fleet::{FleetCheckpoint, FleetSpec};
 
 fn fixture(name: &str) -> PathBuf {
@@ -274,14 +275,57 @@ fn specs_over_the_plan_budget_fail_cleanly() {
         ..FleetSpec::default()
     };
     let fleet = scratch("fleet-sessions", &fleet.to_json());
-    for (name, args) in [
-        ("sweep", ["campaign", "--config", &sweep, "--jobs", "1"]),
-        ("refine", ["campaign", "--config", &refine, "--jobs", "1"]),
-        ("fleet-sessions", ["fleet", "--spec", &fleet, "--jobs", "1"]),
+    // More dead addresses than one selection run can number: refused by
+    // their own field limit rather than the budget.
+    let selection = |v4_addresses, v6_addresses| CampaignSpec {
+        clients: vec!["chrome-130.0".into()],
+        cad: None,
+        rd: None,
+        resolver: None,
+        selection: Some(SelectionPlan {
+            v4_addresses,
+            v6_addresses,
+            ..SelectionPlan::default()
+        }),
+        ..CampaignSpec::default()
+    };
+    let v4 = scratch("selection-v4", &selection(255, 10).to_json());
+    let v6 = scratch("selection-v6", &selection(10, 10_000).to_json());
+    let budget = "over the budget of 10000000";
+    for (name, args, error) in [
+        (
+            "sweep",
+            ["campaign", "--config", &sweep, "--jobs", "1"],
+            budget,
+        ),
+        (
+            "refine",
+            ["campaign", "--config", &refine, "--jobs", "1"],
+            budget,
+        ),
+        (
+            "fleet-sessions",
+            ["fleet", "--spec", &fleet, "--jobs", "1"],
+            budget,
+        ),
+        (
+            "selection-v4",
+            ["campaign", "--config", &v4, "--jobs", "1"],
+            "selection.v4_addresses must be at most 254, got 255",
+        ),
+        (
+            "selection-v6",
+            ["campaign", "--config", &v6, "--jobs", "1"],
+            "selection.v6_addresses must be at most 9999, got 10000",
+        ),
     ] {
-        assert_budget(name, &assert_fails(name, &args));
+        let stderr = assert_fails(name, &args);
+        assert!(
+            stderr.contains(error),
+            "{name}: expected {error:?}\n{stderr}"
+        );
     }
-    for path in [sweep, refine, fleet] {
+    for path in [sweep, refine, fleet, v4, v6] {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -9,10 +9,10 @@
 //! * golden per-quirk profiles: the attribution names the right
 //!   dominant phase for three known client behaviours from the paper.
 
-use lazy_eye_inspection::campaign::{expand, forensics, profile_runs, CampaignSpec};
+use lazy_eye_inspection::campaign::{expand, forensics, profile_runs, CampaignSpec, RunContext};
 use lazy_eye_inspection::clients::all_measured_clients;
 use lazy_eye_inspection::fleet::{profile_fleet, FleetSpec};
-use lazy_eye_inspection::testbed::{run_cad_once_traced, run_rd_once_traced, DelayedRecord};
+use lazy_eye_inspection::testbed::{run_cad, run_rd, DelayedRecord};
 use lazy_eye_inspection::trace::profile::{attribute, Attribution};
 
 fn client(id: &str) -> lazy_eye_inspection::clients::ClientProfile {
@@ -26,13 +26,14 @@ fn client(id: &str) -> lazy_eye_inspection::clients::ClientProfile {
 fn every_default_campaign_run_attributes_exactly() {
     let spec = CampaignSpec::default();
     let runs = expand(&spec).expect("default spec expands");
+    let ctx = RunContext::new_with(&spec, &runs, false).expect("default spec resolves");
     let mut established = 0u64;
     for run in &runs {
         let p = forensics::provenance(&spec, run);
         if p.case == "resolver" {
             continue; // no client-side timeline to attribute
         }
-        let trace = forensics::capture_trace(&p);
+        let trace = forensics::capture_trace(&ctx, run);
         if let Some(attr) = attribute(&trace) {
             established += 1;
             assert_eq!(
@@ -94,8 +95,8 @@ fn assert_exact(attr: &Attribution) {
 #[test]
 fn golden_chrome_stalls_on_delayed_a() {
     let chrome = client("chrome-130.0");
-    let (_, trace) = run_rd_once_traced(&chrome, DelayedRecord::A, 400, 0, 1, &[], "delayed-a");
-    let attr = attribute(&trace).expect("run establishes");
+    let (_, trace, _) = run_rd(&chrome, DelayedRecord::A, 400, 0, 1, &[], Some("delayed-a"));
+    let attr = attribute(&trace.unwrap()).expect("run establishes");
     assert_exact(&attr);
     assert_eq!(attr.dominant_phase(), "stall");
     assert_eq!(attr.stall_ms, 400);
@@ -115,9 +116,16 @@ fn golden_chrome_stalls_on_delayed_a() {
 #[test]
 fn golden_safari_resolution_delay_counts_as_resolution() {
     let safari = client("safari-17.6");
-    let (_, trace) =
-        run_rd_once_traced(&safari, DelayedRecord::Aaaa, 400, 0, 1, &[], "delayed-aaaa");
-    let attr = attribute(&trace).expect("run establishes");
+    let (_, trace, _) = run_rd(
+        &safari,
+        DelayedRecord::Aaaa,
+        400,
+        0,
+        1,
+        &[],
+        Some("delayed-aaaa"),
+    );
+    let attr = attribute(&trace.unwrap()).expect("run establishes");
     assert_exact(&attr);
     assert_eq!(attr.dominant_phase(), "resolution");
     assert_eq!(attr.resolution_ms, 50);
@@ -131,8 +139,8 @@ fn golden_safari_resolution_delay_counts_as_resolution() {
 #[test]
 fn golden_chrome_cad_stagger_dominates_past_the_cad_threshold() {
     let chrome = client("chrome-130.0");
-    let (_, trace) = run_cad_once_traced(&chrome, 400, 0, 1, &[], "baseline");
-    let attr = attribute(&trace).expect("run establishes");
+    let (_, trace, _) = run_cad(&chrome, 400, 0, 1, &[], Some("baseline"));
+    let attr = attribute(&trace.unwrap()).expect("run establishes");
     assert_exact(&attr);
     assert_eq!(attr.dominant_phase(), "cad");
     assert_eq!(attr.cad_ms, 300);
