@@ -4,7 +4,7 @@
 
 use lazyeye_bench::{emit, fresh};
 use lazyeye_clients::{figure2_clients, safari_clients};
-use lazyeye_net::Family;
+use lazyeye_net::strip;
 use lazyeye_testbed::{run_selection_case, SelectionCaseConfig, Table};
 
 fn main() {
@@ -40,14 +40,9 @@ fn main() {
     );
     for (i, profile) in clients.iter().enumerate() {
         let r = run_selection_case(profile, &SelectionCaseConfig::default(), 6000 + i as u64);
-        let order: String = r
-            .order
-            .iter()
-            .map(|f| if *f == Family::V6 { '6' } else { '4' })
-            .collect();
         t.row(vec![
             profile.figure2_label(),
-            order,
+            strip::render(&r.order),
             r.v6_used.to_string(),
             r.v4_used.to_string(),
         ]);

@@ -63,14 +63,7 @@ pub fn fresh(name: &str) {
 /// Renders a Figure 2-style strip: one character per sweep point
 /// (`6` = IPv6, `4` = IPv4, `x` = failed).
 pub fn strip(cells: &[Option<lazyeye_net::Family>]) -> String {
-    cells
-        .iter()
-        .map(|f| match f {
-            Some(lazyeye_net::Family::V6) => '6',
-            Some(lazyeye_net::Family::V4) => '4',
-            None => 'x',
-        })
-        .collect()
+    lazyeye_net::strip::render(cells)
 }
 
 /// `fast mode` reduces sweep resolution for quick runs

@@ -16,14 +16,12 @@
 //!   partials back into one state before finishing the campaign.
 //!
 //! This module contributes only what is campaign-specific: the plan, the
-//! refinement pass, the run context, the kind check, the [`RunOutput`]
-//! JSON codec, and (as an [`Engine`]) the report fold and profile. The
-//! kernel's one driver runs both passes and finishes every flow.
+//! refinement pass, the run context, the kind check, and (as an
+//! [`Engine`]) the report fold and profile. A [`RunOutput`] carries its
+//! own JSON. The kernel's one driver runs both passes and finishes every
+//! flow.
 
 use lazyeye_exec::{Engine, Matrix, Partial, Profile, Run};
-use lazyeye_json::{FromJson, Json, JsonError, ToJson};
-use lazyeye_net::Family;
-use lazyeye_testbed::{CadSample, RdSample, ResolverSample, SelectionResult};
 
 pub use lazyeye_exec::{merge, Shard};
 
@@ -117,14 +115,6 @@ impl Matrix for CampaignMatrix {
                 | (RunKind::Resolver { .. }, RunOutput::Resolver(_))
         )
     }
-
-    fn output_to_json(output: &RunOutput) -> Json {
-        output_to_json(output)
-    }
-
-    fn output_from_json(v: &Json) -> Result<RunOutput, JsonError> {
-        output_from_json(v)
-    }
 }
 
 impl Engine for CampaignMatrix {
@@ -142,130 +132,11 @@ impl Engine for CampaignMatrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// RunOutput (de)serialisation
-// ---------------------------------------------------------------------------
-// `RunOutput` wraps testbed sample types whose fields include
-// `lazyeye_net::Family`; the JSON mapping lives here (tagged by `kind`)
-// rather than as trait impls so the wire format stays a campaign concern.
-
-fn family_to_json(f: &Option<Family>) -> Json {
-    match f {
-        Some(Family::V6) => Json::Str("v6".into()),
-        Some(Family::V4) => Json::Str("v4".into()),
-        None => Json::Null,
-    }
-}
-
-fn family_from_json(v: &Json) -> Result<Option<Family>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Str(s) if s == "v6" => Ok(Some(Family::V6)),
-        Json::Str(s) if s == "v4" => Ok(Some(Family::V4)),
-        other => Err(JsonError::new(format!("expected v6|v4|null, got {other}"))),
-    }
-}
-
-fn output_to_json(output: &RunOutput) -> Json {
-    match output {
-        RunOutput::Cad(s) => Json::obj(vec![
-            ("kind", "cad".to_json()),
-            ("configured_delay_ms", s.configured_delay_ms.to_json()),
-            ("rep", s.rep.to_json()),
-            ("family", family_to_json(&s.family)),
-            ("observed_cad_ms", s.observed_cad_ms.to_json()),
-            ("aaaa_first", s.aaaa_first.to_json()),
-        ]),
-        RunOutput::Rd(s) => Json::obj(vec![
-            ("kind", "rd".to_json()),
-            ("configured_delay_ms", s.configured_delay_ms.to_json()),
-            ("rep", s.rep.to_json()),
-            ("family", family_to_json(&s.family)),
-            ("first_attempt_ms", s.first_attempt_ms.to_json()),
-            ("used_rd", s.used_rd.to_json()),
-        ]),
-        RunOutput::Selection(r) => Json::obj(vec![
-            ("kind", "selection".to_json()),
-            (
-                "order",
-                Json::Str(
-                    r.order
-                        .iter()
-                        .map(|f| if *f == Family::V6 { '6' } else { '4' })
-                        .collect(),
-                ),
-            ),
-            ("v6_used", r.v6_used.to_json()),
-            ("v4_used", r.v4_used.to_json()),
-        ]),
-        RunOutput::Resolver(s) => Json::obj(vec![
-            ("kind", "resolver".to_json()),
-            ("configured_delay_ms", s.configured_delay_ms.to_json()),
-            ("rep", s.rep.to_json()),
-            ("first_query_family", family_to_json(&s.first_query_family)),
-            ("v6_packets", s.v6_packets.to_json()),
-            ("observed_cad_ms", s.observed_cad_ms.to_json()),
-            ("v6_retry_gap_ms", s.v6_retry_gap_ms.to_json()),
-            ("resolved", s.resolved.to_json()),
-            ("served_over_v6", s.served_over_v6.to_json()),
-        ]),
-    }
-}
-
-fn output_from_json(v: &Json) -> Result<RunOutput, JsonError> {
-    match v["kind"].as_str() {
-        Some("cad") => Ok(RunOutput::Cad(CadSample {
-            configured_delay_ms: u64::from_json(&v["configured_delay_ms"])?,
-            rep: u32::from_json(&v["rep"])?,
-            family: family_from_json(&v["family"])?,
-            observed_cad_ms: Option::<f64>::from_json(&v["observed_cad_ms"])?,
-            aaaa_first: Option::<bool>::from_json(&v["aaaa_first"])?,
-        })),
-        Some("rd") => Ok(RunOutput::Rd(RdSample {
-            configured_delay_ms: u64::from_json(&v["configured_delay_ms"])?,
-            rep: u32::from_json(&v["rep"])?,
-            family: family_from_json(&v["family"])?,
-            first_attempt_ms: Option::<f64>::from_json(&v["first_attempt_ms"])?,
-            used_rd: bool::from_json(&v["used_rd"])?,
-        })),
-        Some("selection") => {
-            let order = v["order"]
-                .as_str()
-                .ok_or_else(|| JsonError::new("selection order: expected string"))?
-                .chars()
-                .map(|c| match c {
-                    '6' => Ok(Family::V6),
-                    '4' => Ok(Family::V4),
-                    other => Err(JsonError::new(format!(
-                        "selection order: expected 6|4, got {other:?}"
-                    ))),
-                })
-                .collect::<Result<Vec<Family>, JsonError>>()?;
-            Ok(RunOutput::Selection(SelectionResult {
-                order,
-                v6_used: usize::from_json(&v["v6_used"])?,
-                v4_used: usize::from_json(&v["v4_used"])?,
-            }))
-        }
-        Some("resolver") => Ok(RunOutput::Resolver(ResolverSample {
-            configured_delay_ms: u64::from_json(&v["configured_delay_ms"])?,
-            rep: u32::from_json(&v["rep"])?,
-            first_query_family: family_from_json(&v["first_query_family"])?,
-            v6_packets: usize::from_json(&v["v6_packets"])?,
-            observed_cad_ms: Option::<f64>::from_json(&v["observed_cad_ms"])?,
-            v6_retry_gap_ms: Option::<f64>::from_json(&v["v6_retry_gap_ms"])?,
-            resolved: bool::from_json(&v["resolved"])?,
-            served_over_v6: bool::from_json(&v["served_over_v6"])?,
-        })),
-        other => Err(JsonError::new(format!(
-            "run output: unknown kind {other:?}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazyeye_net::Family;
+    use lazyeye_testbed::{CadSample, RdSample, ResolverSample, SelectionResult};
 
     fn sample_outputs() -> Vec<(u64, RunOutput)> {
         vec![

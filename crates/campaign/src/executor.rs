@@ -82,6 +82,14 @@ pub enum RunOutput {
     Resolver(ResolverSample),
 }
 
+// The partial wire format: the sample's fields after a `kind` tag.
+lazyeye_json::impl_json_tagged!(RunOutput, "kind" {
+    Cad = "cad" (CadSample),
+    Rd = "rd" (RdSample),
+    Selection = "selection" (SelectionResult),
+    Resolver = "resolver" (ResolverSample),
+});
+
 /// Pre-resolved lookup tables the workers need: profile objects and netem
 /// rules by name. Shared immutably across all workers.
 pub struct RunContext {

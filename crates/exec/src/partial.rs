@@ -2,7 +2,8 @@
 //!
 //! An engine describes itself as a [`Matrix`]: a spec that expands into
 //! index-addressed items, how to run one item, which later passes follow
-//! the first, and the JSON codec for one item's output. As an [`Engine`]
+//! the first, and the output one item reduces to (which carries its own
+//! JSON). As an [`Engine`]
 //! it also folds a finished run into its [`Report`] and latency profile.
 //! Everything between "spec" and "finished report" lives here, once:
 //!
@@ -46,8 +47,9 @@ pub trait Matrix: Clone + std::fmt::Debug {
     type Plan;
     /// One index-addressed unit of work.
     type Item: Sync;
-    /// One item's reduced outcome.
-    type Output: Clone + Send + std::fmt::Debug;
+    /// One item's reduced outcome; its JSON is an object, stored after
+    /// the item's index.
+    type Output: Clone + Send + std::fmt::Debug + ToJson + FromJson;
     /// Lookup tables shared immutably by every worker.
     type Context<'a>: Sync
     where
@@ -95,10 +97,6 @@ pub trait Matrix: Clone + std::fmt::Debug {
     fn index(item: &Self::Item) -> u64;
     /// Whether `output` is of the kind `item` produces.
     fn matches(item: &Self::Item, output: &Self::Output) -> bool;
-    /// Serialises one output to a JSON object.
-    fn output_to_json(output: &Self::Output) -> Json;
-    /// Parses one output back.
-    fn output_from_json(v: &Json) -> Result<Self::Output, JsonError>;
 }
 
 /// An engine's finished report: its JSON, CSV and text forms, its JSON
@@ -270,7 +268,7 @@ impl<M: Matrix> Partial<M> {
             .iter()
             .map(|(index, output)| {
                 let mut pairs = vec![("index".to_string(), index.to_json())];
-                let Json::Obj(body) = M::output_to_json(output) else {
+                let Json::Obj(body) = output.to_json() else {
                     unreachable!("outputs serialise to objects");
                 };
                 pairs.extend(body);
@@ -310,7 +308,7 @@ impl<M: Matrix> Partial<M> {
             let index = u64::from_json(&entry["index"])?;
             if part
                 .outputs
-                .insert(index, M::output_from_json(entry)?)
+                .insert(index, M::Output::from_json(entry)?)
                 .is_some()
             {
                 return Err(JsonError::new(format!(

@@ -10,14 +10,11 @@
 //! and per-member probe profile; it has no later passes.
 
 use lazyeye_exec::{Engine, Matrix, Partial, Profile, Run};
-use lazyeye_json::{Json, JsonError};
 
 use crate::plan::{expand, FleetPlan, SessionKind, SessionSpec};
 use crate::profile::profile_fleet_plan;
 use crate::report::{build_report, FleetReport};
-use crate::session::{
-    output_from_json, output_to_json, run_session, SessionContext, SessionOutput,
-};
+use crate::session::{run_session, SessionContext, SessionOutput};
 use crate::spec::FleetSpec;
 
 /// The fleet as a resumable, shardable sweep of sessions.
@@ -78,14 +75,6 @@ impl Matrix for FleetMatrix {
                 SessionOutput::Resolver(_)
             )
         )
-    }
-
-    fn output_to_json(output: &SessionOutput) -> Json {
-        output_to_json(output)
-    }
-
-    fn output_from_json(v: &Json) -> Result<SessionOutput, JsonError> {
-        output_from_json(v)
     }
 }
 

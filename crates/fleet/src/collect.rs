@@ -311,14 +311,7 @@ mod tests {
                 .iter()
                 .map(|(delay, cells)| TierObservation {
                     delay_ms: *delay,
-                    families: cells
-                        .chars()
-                        .map(|c| match c {
-                            '6' => Some(Family::V6),
-                            '4' => Some(Family::V4),
-                            _ => None,
-                        })
-                        .collect(),
+                    families: lazyeye_net::strip::parse(cells).unwrap(),
                     fetch_us: Vec::new(),
                 })
                 .collect(),

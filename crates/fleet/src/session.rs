@@ -12,10 +12,8 @@
 use std::collections::HashMap;
 
 use lazyeye_authns::DelayTarget;
-use lazyeye_json::{FromJson, Json, JsonError, ToJson};
-use lazyeye_net::Family;
 use lazyeye_resolver::SelectionPolicy;
-use lazyeye_webtool::{check_resolver, deploy, TierObservation, WebConditions, WebSessionResult};
+use lazyeye_webtool::{check_resolver, deploy, WebConditions, WebSessionResult};
 
 use crate::plan::{SessionKind, SessionSpec};
 use crate::spec::{FleetSpec, Member};
@@ -45,6 +43,12 @@ pub enum SessionOutput {
     /// A resolver check.
     Resolver(ResolverCheckOutput),
 }
+
+// The fleet partial wire format: the outcome's fields after a `kind` tag.
+lazyeye_json::impl_json_tagged!(SessionOutput, "kind" {
+    Web = "web" (WebSessionResult),
+    Resolver = "resolver" (ResolverCheckOutput),
+});
 
 /// Pre-resolved lookup tables the workers need. Shared immutably across
 /// all workers (the fleet analogue of the campaign's `RunContext`).
@@ -145,96 +149,6 @@ pub fn run_session(ctx: &SessionContext<'_>, session: &SessionSpec) -> SessionOu
     }
 }
 
-// ---------------------------------------------------------------------------
-// SessionOutput (de)serialisation — the fleet checkpoint wire format.
-// Tier families pack into one character per repetition (`6`/`4`/`x`),
-// keeping shard partials a few dozen bytes per session.
-// ---------------------------------------------------------------------------
-
-fn families_to_string(families: &[Option<Family>]) -> String {
-    families
-        .iter()
-        .map(|f| match f {
-            Some(Family::V6) => '6',
-            Some(Family::V4) => '4',
-            None => 'x',
-        })
-        .collect()
-}
-
-fn families_from_str(s: &str) -> Result<Vec<Option<Family>>, JsonError> {
-    s.chars()
-        .map(|c| match c {
-            '6' => Ok(Some(Family::V6)),
-            '4' => Ok(Some(Family::V4)),
-            'x' => Ok(None),
-            other => Err(JsonError::new(format!(
-                "tier families: expected 6|4|x, got {other:?}"
-            ))),
-        })
-        .collect()
-}
-
-/// Serialises a session output (tagged by `kind`).
-pub fn output_to_json(output: &SessionOutput) -> Json {
-    match output {
-        SessionOutput::Web(result) => {
-            let tiers: Vec<Json> = result
-                .tiers
-                .iter()
-                .map(|t| {
-                    Json::obj(vec![
-                        ("delay_ms", t.delay_ms.to_json()),
-                        ("families", Json::Str(families_to_string(&t.families))),
-                        ("fetch_us", t.fetch_us.to_json()),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![("kind", "web".to_json()), ("tiers", Json::Arr(tiers))])
-        }
-        SessionOutput::Resolver(r) => {
-            let Json::Obj(mut pairs) = ToJson::to_json(r) else {
-                unreachable!("structs serialise to objects");
-            };
-            pairs.insert(0, ("kind".to_string(), "resolver".to_json()));
-            Json::Obj(pairs)
-        }
-    }
-}
-
-/// Parses a session output back from its JSON form.
-pub fn output_from_json(v: &Json) -> Result<SessionOutput, JsonError> {
-    match v["kind"].as_str() {
-        Some("web") => {
-            let mut tiers = Vec::new();
-            for entry in v["tiers"]
-                .as_array()
-                .ok_or_else(|| JsonError::new("web session: expected tiers array"))?
-            {
-                let families = entry["families"]
-                    .as_str()
-                    .ok_or_else(|| JsonError::new("tier families: expected string"))?;
-                tiers.push(TierObservation {
-                    delay_ms: u64::from_json(&entry["delay_ms"])?,
-                    families: families_from_str(families)?,
-                    // Absent in pre-timing checkpoints: tolerate (the
-                    // family grid still folds; only stall detection needs
-                    // the timings).
-                    fetch_us: match entry.get("fetch_us") {
-                        Some(v) => FromJson::from_json(v)?,
-                        None => Vec::new(),
-                    },
-                });
-            }
-            Ok(SessionOutput::Web(WebSessionResult { tiers }))
-        }
-        Some("resolver") => Ok(SessionOutput::Resolver(FromJson::from_json(v)?)),
-        other => Err(JsonError::new(format!(
-            "session output: unknown kind {other:?}"
-        ))),
-    }
-}
-
 // The executor moves session outputs across threads; a regression (an Rc
 // or Sim handle creeping in) must fail to compile here.
 #[allow(dead_code)]
@@ -248,6 +162,9 @@ fn send_audit() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazyeye_json::{FromJson, Json, ToJson};
+    use lazyeye_net::Family;
+    use lazyeye_webtool::TierObservation;
 
     #[test]
     fn output_json_roundtrips_both_kinds() {
@@ -265,7 +182,7 @@ mod tests {
                 },
             ],
         });
-        let back = output_from_json(&output_to_json(&web)).unwrap();
+        let back = SessionOutput::from_json(&web.to_json()).unwrap();
         assert_eq!(back, web);
 
         // Pre-timing checkpoints carry no fetch_us: they must keep
@@ -273,7 +190,7 @@ mod tests {
         let legacy =
             Json::parse(r#"{"kind": "web", "tiers": [{"delay_ms": 0, "families": "64"}]}"#)
                 .unwrap();
-        let SessionOutput::Web(parsed) = output_from_json(&legacy).unwrap() else {
+        let SessionOutput::Web(parsed) = SessionOutput::from_json(&legacy).unwrap() else {
             panic!("expected a web output");
         };
         assert!(parsed.tiers[0].fetch_us.is_empty());
@@ -283,14 +200,14 @@ mod tests {
             aaaa_first: Some(false),
             resolution_ms: 12.625,
         });
-        let back = output_from_json(&output_to_json(&resolver)).unwrap();
+        let back = SessionOutput::from_json(&resolver.to_json()).unwrap();
         assert_eq!(back, resolver);
     }
 
     #[test]
     fn corrupt_outputs_error_cleanly() {
-        assert!(output_from_json(&Json::parse(r#"{"kind": "warp"}"#).unwrap()).is_err());
-        assert!(output_from_json(
+        assert!(SessionOutput::from_json(&Json::parse(r#"{"kind": "warp"}"#).unwrap()).is_err());
+        assert!(SessionOutput::from_json(
             &Json::parse(r#"{"kind": "web", "tiers": [{"delay_ms": 0, "families": "9"}]}"#)
                 .unwrap()
         )

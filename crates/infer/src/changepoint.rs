@@ -133,8 +133,9 @@ mod tests {
     use super::*;
 
     fn grid(step: &[(u64, char)]) -> Vec<(u64, Family)> {
+        use lazyeye_net::strip::Cell;
         step.iter()
-            .map(|(d, c)| (*d, if *c == '6' { Family::V6 } else { Family::V4 }))
+            .map(|(d, c)| (*d, Family::from_char(*c).unwrap()))
             .collect()
     }
 

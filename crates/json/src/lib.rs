@@ -4,8 +4,10 @@
 //! `serde_json` the workspace carries this small JSON library: a [`Json`]
 //! value type with parser and (deterministic) printers, [`ToJson`] /
 //! [`FromJson`] conversion traits, and declarative macros that derive the
-//! conversions for plain structs ([`impl_json_struct!`]) and fieldless
-//! enums ([`impl_json_unit_enum!`]).
+//! conversions for plain structs ([`impl_json_struct!`], whose fields may
+//! name their own codec module with `field: with path`), enums tagged by
+//! one key ([`impl_json_tagged!`]) and fieldless enums
+//! ([`impl_json_unit_enum!`]).
 //!
 //! Object key order is **insertion order**, and the printers are fully
 //! deterministic — the campaign engine's byte-identical-report guarantee
@@ -826,13 +828,59 @@ impl FromJson for Duration {
 /// let back = P::from_json(&Json::parse(&p.to_json().to_string_compact()).unwrap()).unwrap();
 /// assert_eq!(back, p);
 /// ```
+///
+/// A field written `field: with path` takes its JSON from the module at
+/// `path` instead of its type's own impls. The module supplies
+/// `to_json(&T) -> Json`, `from_json(&Json) -> Result<T, JsonError>` and
+/// `from_missing(name: &str) -> Result<T, JsonError>`, the last called
+/// when the key is absent. [`or_default`] is such a module:
+///
+/// ```
+/// use lazyeye_json::{impl_json_struct, FromJson, Json};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tier { delay_ms: u64, fetch_us: Vec<u64> }
+/// impl_json_struct!(Tier { delay_ms, fetch_us: with lazyeye_json::or_default });
+///
+/// // Files written before `fetch_us` existed still load.
+/// let old = Json::parse(r#"{"delay_ms": 250}"#).unwrap();
+/// let tier = Tier::from_json(&old).unwrap();
+/// assert_eq!(tier, Tier { delay_ms: 250, fetch_us: vec![] });
+/// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($name:ident { $($field:ident),+ $(,)? }) => {
+    (@to $value:expr ;) => {
+        $crate::ToJson::to_json($value)
+    };
+    (@to $value:expr ; $($with:ident)::+) => {
+        $($with)::+::to_json($value)
+    };
+    (@from $v:ident $owner:expr, $field:ident ;) => {
+        $crate::field(
+            $v,
+            $owner,
+            stringify!($field),
+            $crate::FromJson::from_json,
+            $crate::FromJson::from_missing_field,
+        )?
+    };
+    (@from $v:ident $owner:expr, $field:ident ; $($with:ident)::+) => {
+        $crate::field(
+            $v,
+            $owner,
+            stringify!($field),
+            $($with)::+::from_json,
+            $($with)::+::from_missing,
+        )?
+    };
+    ($name:ident { $($field:ident $(: with $($with:ident)::+)?),+ $(,)? }) => {
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::obj(vec![
-                    $((stringify!($field), $crate::ToJson::to_json(&self.$field)),)+
+                    $((
+                        stringify!($field),
+                        $crate::impl_json_struct!(@to &self.$field ; $($($with)::+)?),
+                    ),)+
                 ])
             }
         }
@@ -840,33 +888,153 @@ macro_rules! impl_json_struct {
         impl $crate::FromJson for $name {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<$name, $crate::JsonError> {
                 ::std::result::Result::Ok($name {
-                    $($field: match v.get(stringify!($field)) {
-                        ::std::option::Option::Some(fv) => {
-                            $crate::FromJson::from_json(fv).map_err(|e| {
-                                $crate::JsonError::new(format!(
-                                    "{}.{}: {}",
-                                    stringify!($name),
-                                    stringify!($field),
-                                    e
-                                ))
-                            })?
-                        }
-                        ::std::option::Option::None => {
-                            $crate::FromJson::from_missing_field(stringify!($field)).map_err(
-                                |e| {
-                                    $crate::JsonError::new(format!(
-                                        "{}: {}",
-                                        stringify!($name),
-                                        e
-                                    ))
-                                },
-                            )?
-                        }
-                    },)+
+                    $($field: $crate::impl_json_struct!(
+                        @from v stringify!($name), $field ; $($($with)::+)?
+                    ),)+
                 })
             }
         }
     };
+}
+
+/// Implements [`ToJson`] + [`FromJson`] for an enum tagged by one key:
+/// each variant is an object whose `key` holds the variant's tag.
+///
+/// A variant takes one of three forms:
+/// - `Variant = "tag" (Payload)`: a newtype variant whose payload
+///   serialises to an object, flattened after the tag;
+/// - `Variant = "tag" { a, b }`: a struct variant, one key per listed
+///   field, in order;
+/// - `Variant = "tag"`: a unit variant, the tag alone.
+///
+/// ```
+/// use lazyeye_json::{impl_json_struct, impl_json_tagged, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Sample { delay_ms: u64 }
+/// impl_json_struct!(Sample { delay_ms });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Event { Run(Sample), Query { qtype: String }, Expired }
+/// impl_json_tagged!(Event, "kind" {
+///     Run = "run" (Sample),
+///     Query = "query" { qtype },
+///     Expired = "expired",
+/// });
+///
+/// let run = Event::Run(Sample { delay_ms: 300 });
+/// assert_eq!(run.to_json().to_string_compact(), r#"{"kind":"run","delay_ms":300}"#);
+/// let query = Json::parse(r#"{"kind":"query","qtype":"AAAA"}"#).unwrap();
+/// assert_eq!(Event::from_json(&query).unwrap(), Event::Query { qtype: "AAAA".into() });
+/// assert_eq!(Event::Expired.to_json().to_string_compact(), r#"{"kind":"expired"}"#);
+/// assert!(Event::from_json(&Json::parse(r#"{"kind":"warp"}"#).unwrap()).is_err());
+/// ```
+#[macro_export]
+macro_rules! impl_json_tagged {
+    (@pat $name:ident $variant:ident $p:ident ($payload:ty)) => {
+        $name::$variant($p)
+    };
+    (@pat $name:ident $variant:ident $p:ident $({ $($field:ident),* })?) => {
+        $name::$variant $({ $($field),* })?
+    };
+    (@to $key:literal $tag:literal $p:ident ($payload:ty)) => {{
+        let $crate::Json::Obj(body) = $crate::ToJson::to_json($p) else {
+            unreachable!("tagged payloads serialise to objects");
+        };
+        let mut pairs = vec![($key.to_string(), $crate::Json::Str($tag.to_string()))];
+        pairs.extend(body);
+        $crate::Json::Obj(pairs)
+    }};
+    (@to $key:literal $tag:literal $p:ident $({ $($field:ident),* })?) => {
+        $crate::Json::obj(vec![
+            ($key, $crate::Json::Str($tag.to_string())),
+            $($((stringify!($field), $crate::ToJson::to_json($field)),)*)?
+        ])
+    };
+    (@from $v:ident $name:ident $variant:ident ($payload:ty)) => {
+        <$payload as $crate::FromJson>::from_json($v).map($name::$variant)
+    };
+    (@from $v:ident $name:ident $variant:ident $({ $($field:ident),* })?) => {
+        ::std::result::Result::Ok($name::$variant $({
+            $($field: $crate::field(
+                $v,
+                concat!(stringify!($name), "::", stringify!($variant)),
+                stringify!($field),
+                $crate::FromJson::from_json,
+                $crate::FromJson::from_missing_field,
+            )?,)*
+        })?)
+    };
+    ($name:ident, $key:literal {
+        $($variant:ident = $tag:literal $(($payload:ty))? $({ $($field:ident),* $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                match self {
+                    $($crate::impl_json_tagged!(
+                        @pat $name $variant payload $(($payload))? $({ $($field),* })?
+                    ) => $crate::impl_json_tagged!(
+                        @to $key $tag payload $(($payload))? $({ $($field),* })?
+                    ),)+
+                }
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(v: &$crate::Json) -> ::std::result::Result<$name, $crate::JsonError> {
+                match v.get($key).and_then($crate::Json::as_str) {
+                    $(::std::option::Option::Some($tag) => $crate::impl_json_tagged!(
+                        @from v $name $variant $(($payload))? $({ $($field),* })?
+                    ),)+
+                    _ => ::std::result::Result::Err($crate::JsonError::new(format!(
+                        "{}: unknown {} {}",
+                        stringify!($name),
+                        $key,
+                        v.get($key).unwrap_or(&$crate::Json::Null)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Reads struct field `name` of `owner` from object `v`: `from_json` on
+/// its value, or `from_missing` when the key is absent, with the field
+/// named in any error. The derive macros' one field reader.
+#[doc(hidden)]
+pub fn field<T>(
+    v: &Json,
+    owner: &str,
+    name: &str,
+    from_json: fn(&Json) -> Result<T, JsonError>,
+    from_missing: fn(&str) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    match v.get(name) {
+        Some(value) => from_json(value).map_err(|e| JsonError::new(format!("{owner}.{name}: {e}"))),
+        None => from_missing(name).map_err(|e| JsonError::new(format!("{owner}: {e}"))),
+    }
+}
+
+/// An [`impl_json_struct!`] `with` codec for a field whose absence means
+/// its default: the field's own JSON, but a missing key reads as
+/// `T::default()` instead of an error.
+pub mod or_default {
+    use super::{FromJson, Json, JsonError, ToJson};
+
+    /// The field's own JSON.
+    pub fn to_json<T: ToJson>(value: &T) -> Json {
+        value.to_json()
+    }
+
+    /// The field's own parse.
+    pub fn from_json<T: FromJson>(v: &Json) -> Result<T, JsonError> {
+        T::from_json(v)
+    }
+
+    /// An absent key: the default.
+    pub fn from_missing<T: Default>(_name: &str) -> Result<T, JsonError> {
+        Ok(T::default())
+    }
 }
 
 /// Implements [`ToJson`] + [`FromJson`] for a fieldless enum: each variant

@@ -2,6 +2,8 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
+use lazyeye_json::{FromJson, Json, JsonError, ToJson};
+
 /// IP address family — the axis Happy Eyeballs races along.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Family {
@@ -11,7 +13,21 @@ pub enum Family {
     V6,
 }
 
-lazyeye_json::impl_json_unit_enum!(Family { V4, V6 });
+/// The one JSON spelling of a family: `"v6"` / `"v4"`.
+impl ToJson for Family {
+    fn to_json(&self) -> Json {
+        Json::Str(self.json_tag().to_string())
+    }
+}
+
+impl FromJson for Family {
+    fn from_json(v: &Json) -> Result<Family, JsonError> {
+        [Family::V6, Family::V4]
+            .into_iter()
+            .find(|f| v.as_str() == Some(f.json_tag()))
+            .ok_or_else(|| JsonError::new(format!("expected v6|v4, got {v}")))
+    }
+}
 
 impl Family {
     /// Family of an address.
@@ -30,6 +46,13 @@ impl Family {
         }
     }
 
+    fn json_tag(self) -> &'static str {
+        match self {
+            Family::V4 => "v4",
+            Family::V6 => "v6",
+        }
+    }
+
     /// Short label used in tables and figures ("IPv4"/"IPv6").
     pub fn label(self) -> &'static str {
         match self {
@@ -42,6 +65,88 @@ impl Family {
 impl std::fmt::Display for Family {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The family strip: one character per cell, `6` for IPv6 and `4` for
+/// IPv4, plus `x` for a cell with no family (a failed run or fetch).
+/// Partials store selection orders and web-tool tiers this way, traces
+/// store candidate orders this way, and the CLI prints sweeps this way.
+///
+/// The module is also an `impl_json_struct!` `with` codec for a field
+/// holding a `Vec` of cells: the strip as one JSON string.
+pub mod strip {
+    use super::Family;
+    use lazyeye_json::{Json, JsonError};
+
+    /// One strip character.
+    pub trait Cell: Copy {
+        /// The cell's character.
+        fn to_char(self) -> char;
+        /// The cell a character spells, if any.
+        fn from_char(c: char) -> Option<Self>;
+    }
+
+    impl Cell for Family {
+        fn to_char(self) -> char {
+            match self {
+                Family::V6 => '6',
+                Family::V4 => '4',
+            }
+        }
+
+        fn from_char(c: char) -> Option<Family> {
+            [Family::V6, Family::V4]
+                .into_iter()
+                .find(|f| f.to_char() == c)
+        }
+    }
+
+    impl Cell for Option<Family> {
+        fn to_char(self) -> char {
+            self.map_or('x', Family::to_char)
+        }
+
+        fn from_char(c: char) -> Option<Option<Family>> {
+            match c {
+                'x' => Some(None),
+                c => Family::from_char(c).map(Some),
+            }
+        }
+    }
+
+    /// Renders `cells` as a strip.
+    pub fn render<C: Cell>(cells: &[C]) -> String {
+        cells.iter().map(|c| c.to_char()).collect()
+    }
+
+    /// Parses a strip.
+    pub fn parse<C: Cell>(strip: &str) -> Result<Vec<C>, JsonError> {
+        strip
+            .chars()
+            .map(|c| {
+                C::from_char(c)
+                    .ok_or_else(|| JsonError::new(format!("family strip: unexpected {c:?}")))
+            })
+            .collect()
+    }
+
+    /// The strip as a JSON string.
+    pub fn to_json<C: Cell>(cells: &[C]) -> Json {
+        Json::Str(render(cells))
+    }
+
+    /// Parses a strip from a JSON string.
+    pub fn from_json<C: Cell>(v: &Json) -> Result<Vec<C>, JsonError> {
+        parse(
+            v.as_str()
+                .ok_or_else(|| JsonError::new(format!("family strip: expected string, got {v}")))?,
+        )
+    }
+
+    /// An absent strip is an error.
+    pub fn from_missing<C>(name: &str) -> Result<Vec<C>, JsonError> {
+        Err(JsonError::new(format!("missing field {name:?}")))
     }
 }
 
@@ -143,6 +248,19 @@ mod tests {
         assert_eq!(Family::of(v6("2001:db8::1")), Family::V6);
         assert_eq!(Family::V4.other(), Family::V6);
         assert_eq!(Family::V6.label(), "IPv6");
+    }
+
+    #[test]
+    fn family_json_and_strip() {
+        assert_eq!(Family::V6.to_json(), Json::Str("v6".into()));
+        assert_eq!(Family::from_json(&Json::Str("v4".into())), Ok(Family::V4));
+        assert!(Family::from_json(&Json::Str("V6".into())).is_err());
+        let cells = [Some(Family::V6), None, Some(Family::V4)];
+        assert_eq!(strip::render(&cells), "6x4");
+        assert_eq!(strip::parse::<Option<Family>>("6x4").unwrap(), cells);
+        assert_eq!(strip::render(&[Family::V4, Family::V6]), "46");
+        assert!(strip::parse::<Family>("6x").is_err());
+        assert!(strip::from_json::<Family>(&Json::Null).is_err());
     }
 
     #[test]

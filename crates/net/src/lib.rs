@@ -40,7 +40,7 @@ mod tcp;
 mod udp;
 mod world;
 
-pub use addr::{Family, IpPrefix};
+pub use addr::{strip, Family, IpPrefix};
 pub use error::NetError;
 pub use host::{Host, HostBuilder, NetStats, Network};
 pub use netem::{first_match, Netem, NetemRule};

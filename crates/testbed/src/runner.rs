@@ -107,6 +107,14 @@ pub struct CadSample {
     pub aaaa_first: Option<bool>,
 }
 
+lazyeye_json::impl_json_struct!(CadSample {
+    configured_delay_ms,
+    rep,
+    family,
+    observed_cad_ms,
+    aaaa_first,
+});
+
 /// Runs a single CAD measurement: one fresh simulation (the paper's
 /// container reset), one configured IPv6 delay, one connection. Extra
 /// netem rules model additional path conditions (loss, jitter) and apply
@@ -286,6 +294,14 @@ pub struct RdSample {
     pub used_rd: bool,
 }
 
+lazyeye_json::impl_json_struct!(RdSample {
+    configured_delay_ms,
+    rep,
+    family,
+    first_attempt_ms,
+    used_rd,
+});
+
 /// The canonical cell label of a delayed record type (also the trace
 /// metadata condition).
 pub fn delayed_record_label(delayed: DelayedRecord) -> &'static str {
@@ -436,6 +452,12 @@ pub struct SelectionResult {
     pub v4_used: usize,
 }
 
+lazyeye_json::impl_json_struct!(SelectionResult {
+    order: with lazyeye_net::strip,
+    v6_used,
+    v4_used,
+});
+
 /// Runs the selection case: N dead addresses per family, watch the order.
 pub fn run_selection_case(
     profile: &ClientProfile,
@@ -524,6 +546,17 @@ pub struct ResolverSample {
     /// completed before any fallback).
     pub served_over_v6: bool,
 }
+
+lazyeye_json::impl_json_struct!(ResolverSample {
+    configured_delay_ms,
+    rep,
+    first_query_family,
+    v6_packets,
+    observed_cad_ms,
+    v6_retry_gap_ms,
+    resolved,
+    served_over_v6,
+});
 
 /// Runs a single resolver measurement: one fresh simulation with a
 /// per-run unique zone (served from the `(tag, delay)` zone cache), one

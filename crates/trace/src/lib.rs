@@ -172,13 +172,6 @@ pub struct TraceSet {
 // Converters from live observations
 // ---------------------------------------------------------------------------
 
-fn family_strip(families: &[Family]) -> String {
-    families
-        .iter()
-        .map(|f| if *f == Family::V6 { '6' } else { '4' })
-        .collect()
-}
-
 fn proto_label(p: &lazyeye_core::CandidateProto) -> String {
     match p {
         lazyeye_core::CandidateProto::Tcp => "tcp".to_string(),
@@ -211,7 +204,7 @@ pub fn events_from_he_log(log: &HeLog) -> Vec<TraceEvent> {
                 }
                 HeEventKind::ResolutionDelayExpired => TraceEventKind::ResolutionDelayExpired,
                 HeEventKind::CandidatesBuilt { families } => TraceEventKind::CandidatesBuilt {
-                    families: family_strip(families),
+                    families: lazyeye_net::strip::render(families),
                 },
                 HeEventKind::AttemptStarted { index, addr, proto } => {
                     TraceEventKind::AttemptStarted {
@@ -387,159 +380,23 @@ impl Trace {
 }
 
 // ---------------------------------------------------------------------------
-// JSON mapping (tagged by `kind`, hand-written for the enum)
+// JSON mapping
 // ---------------------------------------------------------------------------
 
-fn family_json(f: Family) -> Json {
-    match f {
-        Family::V6 => Json::Str("v6".into()),
-        Family::V4 => Json::Str("v4".into()),
-    }
-}
-
-fn family_from(v: &Json) -> Result<Family, JsonError> {
-    match v.as_str() {
-        Some("v6") => Ok(Family::V6),
-        Some("v4") => Ok(Family::V4),
-        _ => Err(JsonError::new(format!("expected v6|v4, got {v}"))),
-    }
-}
-
-impl ToJson for TraceEventKind {
-    fn to_json(&self) -> Json {
-        match self {
-            TraceEventKind::DnsQuerySent { qtype } => Json::obj(vec![
-                ("kind", "dns_query_sent".to_json()),
-                ("qtype", qtype.to_json()),
-            ]),
-            TraceEventKind::DnsAnswer {
-                qtype,
-                records,
-                outcome,
-            } => Json::obj(vec![
-                ("kind", "dns_answer".to_json()),
-                ("qtype", qtype.to_json()),
-                ("records", records.to_json()),
-                ("outcome", outcome.to_json()),
-            ]),
-            TraceEventKind::QueryArrived { qtype, family } => Json::obj(vec![
-                ("kind", "query_arrived".to_json()),
-                ("qtype", qtype.to_json()),
-                ("family", family_json(*family)),
-            ]),
-            TraceEventKind::ResolutionDelayStarted { delay_ms } => Json::obj(vec![
-                ("kind", "rd_started".to_json()),
-                ("delay_ms", delay_ms.to_json()),
-            ]),
-            TraceEventKind::ResolutionDelayExpired => {
-                Json::obj(vec![("kind", "rd_expired".to_json())])
-            }
-            TraceEventKind::CandidatesBuilt { families } => Json::obj(vec![
-                ("kind", "candidates_built".to_json()),
-                ("families", families.to_json()),
-            ]),
-            TraceEventKind::AttemptStarted {
-                index,
-                addr,
-                family,
-                proto,
-            } => Json::obj(vec![
-                ("kind", "attempt_started".to_json()),
-                ("index", index.to_json()),
-                ("addr", addr.to_json()),
-                ("family", family_json(*family)),
-                ("proto", proto.to_json()),
-            ]),
-            TraceEventKind::AttemptSucceeded { index, addr } => Json::obj(vec![
-                ("kind", "attempt_succeeded".to_json()),
-                ("index", index.to_json()),
-                ("addr", addr.to_json()),
-            ]),
-            TraceEventKind::AttemptFailed { index, addr, error } => Json::obj(vec![
-                ("kind", "attempt_failed".to_json()),
-                ("index", index.to_json()),
-                ("addr", addr.to_json()),
-                ("error", error.to_json()),
-            ]),
-            TraceEventKind::Established {
-                addr,
-                family,
-                proto,
-            } => Json::obj(vec![
-                ("kind", "established".to_json()),
-                ("addr", addr.to_json()),
-                ("family", family_json(*family)),
-                ("proto", proto.to_json()),
-            ]),
-            TraceEventKind::UsedCachedOutcome { addr } => Json::obj(vec![
-                ("kind", "used_cached_outcome".to_json()),
-                ("addr", addr.to_json()),
-            ]),
-            TraceEventKind::Failed { reason } => Json::obj(vec![
-                ("kind", "failed".to_json()),
-                ("reason", reason.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for TraceEventKind {
-    fn from_json(v: &Json) -> Result<TraceEventKind, JsonError> {
-        let kind = v["kind"]
-            .as_str()
-            .ok_or_else(|| JsonError::new("trace event: missing kind"))?;
-        match kind {
-            "dns_query_sent" => Ok(TraceEventKind::DnsQuerySent {
-                qtype: String::from_json(&v["qtype"])?,
-            }),
-            "dns_answer" => Ok(TraceEventKind::DnsAnswer {
-                qtype: String::from_json(&v["qtype"])?,
-                records: u64::from_json(&v["records"])?,
-                outcome: String::from_json(&v["outcome"])?,
-            }),
-            "query_arrived" => Ok(TraceEventKind::QueryArrived {
-                qtype: String::from_json(&v["qtype"])?,
-                family: family_from(&v["family"])?,
-            }),
-            "rd_started" => Ok(TraceEventKind::ResolutionDelayStarted {
-                delay_ms: u64::from_json(&v["delay_ms"])?,
-            }),
-            "rd_expired" => Ok(TraceEventKind::ResolutionDelayExpired),
-            "candidates_built" => Ok(TraceEventKind::CandidatesBuilt {
-                families: String::from_json(&v["families"])?,
-            }),
-            "attempt_started" => Ok(TraceEventKind::AttemptStarted {
-                index: u64::from_json(&v["index"])?,
-                addr: String::from_json(&v["addr"])?,
-                family: family_from(&v["family"])?,
-                proto: String::from_json(&v["proto"])?,
-            }),
-            "attempt_succeeded" => Ok(TraceEventKind::AttemptSucceeded {
-                index: u64::from_json(&v["index"])?,
-                addr: String::from_json(&v["addr"])?,
-            }),
-            "attempt_failed" => Ok(TraceEventKind::AttemptFailed {
-                index: u64::from_json(&v["index"])?,
-                addr: String::from_json(&v["addr"])?,
-                error: String::from_json(&v["error"])?,
-            }),
-            "established" => Ok(TraceEventKind::Established {
-                addr: String::from_json(&v["addr"])?,
-                family: family_from(&v["family"])?,
-                proto: String::from_json(&v["proto"])?,
-            }),
-            "used_cached_outcome" => Ok(TraceEventKind::UsedCachedOutcome {
-                addr: String::from_json(&v["addr"])?,
-            }),
-            "failed" => Ok(TraceEventKind::Failed {
-                reason: String::from_json(&v["reason"])?,
-            }),
-            other => Err(JsonError::new(format!(
-                "trace event: unknown kind {other:?}"
-            ))),
-        }
-    }
-}
+lazyeye_json::impl_json_tagged!(TraceEventKind, "kind" {
+    DnsQuerySent = "dns_query_sent" { qtype },
+    DnsAnswer = "dns_answer" { qtype, records, outcome },
+    QueryArrived = "query_arrived" { qtype, family },
+    ResolutionDelayStarted = "rd_started" { delay_ms },
+    ResolutionDelayExpired = "rd_expired",
+    CandidatesBuilt = "candidates_built" { families },
+    AttemptStarted = "attempt_started" { index, addr, family, proto },
+    AttemptSucceeded = "attempt_succeeded" { index, addr },
+    AttemptFailed = "attempt_failed" { index, addr, error },
+    Established = "established" { addr, family, proto },
+    UsedCachedOutcome = "used_cached_outcome" { addr },
+    Failed = "failed" { reason },
+});
 
 impl ToJson for TraceEvent {
     fn to_json(&self) -> Json {

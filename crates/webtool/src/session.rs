@@ -29,6 +29,16 @@ pub struct TierObservation {
     pub fetch_us: Vec<u64>,
 }
 
+// Families pack into one strip character per repetition, keeping fleet
+// partials a few dozen bytes per session. Partials written before fetch
+// timing existed carry no `fetch_us`; they load with empty timings (the
+// family grid still folds; only stall detection needs the timings).
+lazyeye_json::impl_json_struct!(TierObservation {
+    delay_ms,
+    families: with lazyeye_net::strip,
+    fetch_us: with lazyeye_json::or_default,
+});
+
 impl TierObservation {
     /// Largest fetch duration across this tier's repetitions (µs).
     pub fn max_fetch_us(&self) -> u64 {
@@ -68,6 +78,8 @@ pub struct WebSessionResult {
     pub tiers: Vec<TierObservation>,
 }
 
+lazyeye_json::impl_json_struct!(WebSessionResult { tiers });
+
 impl WebSessionResult {
     /// The CAD interval the web tool reports: `(last majority-IPv6 delay,
     /// first majority-IPv4 delay]` — e.g. Safari's `(200, 250]` in the
@@ -99,16 +111,12 @@ impl WebSessionResult {
         use std::fmt::Write;
         let mut out = String::new();
         for t in &self.tiers {
-            let cells: String = t
-                .families
-                .iter()
-                .map(|f| match f {
-                    Some(Family::V6) => '6',
-                    Some(Family::V4) => '4',
-                    None => 'x',
-                })
-                .collect();
-            let _ = writeln!(out, "{:>5} ms  {}", t.delay_ms, cells);
+            let _ = writeln!(
+                out,
+                "{:>5} ms  {}",
+                t.delay_ms,
+                lazyeye_net::strip::render(&t.families)
+            );
         }
         out
     }

@@ -5,7 +5,7 @@
 //! cargo run --example cad_sweep
 //! ```
 
-use lazy_eye_inspection::net::Family;
+use lazy_eye_inspection::net::strip;
 use lazy_eye_inspection::testbed::{run_cad_case, summarize_cad, CadCaseConfig, SweepSpec};
 
 fn main() {
@@ -21,14 +21,8 @@ fn main() {
             .rfind(|c| c.name == name)
             .unwrap();
         let samples = run_cad_case(&profile, &cfg, 1);
-        let strip: String = samples
-            .iter()
-            .map(|s| match s.family {
-                Some(Family::V6) => '6',
-                Some(Family::V4) => '4',
-                None => 'x',
-            })
-            .collect();
+        let families: Vec<_> = samples.iter().map(|s| s.family).collect();
+        let strip = strip::render(&families);
         let summary = summarize_cad(&samples);
         println!(
             "{:>22}  {}   switchover: {}",

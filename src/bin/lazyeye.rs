@@ -51,7 +51,7 @@ use lazy_eye_inspection::infer::{
     FieldDelta, InferredProfile, InferredResolverReport,
 };
 use lazy_eye_inspection::json::{FromJson, Json, ToJson};
-use lazy_eye_inspection::net::Family;
+use lazy_eye_inspection::net::strip;
 use lazy_eye_inspection::obs::profile::FlameGraph;
 use lazy_eye_inspection::resolver::all_profiles;
 use lazy_eye_inspection::testbed::{
@@ -1252,15 +1252,8 @@ fn run(args: &[String]) -> Cmd {
                 (sample, trace)
             });
             let samples = emit_traces(&flags, runs)?;
-            let strip: String = samples
-                .iter()
-                .map(|s| match s.family {
-                    Some(Family::V6) => '6',
-                    Some(Family::V4) => '4',
-                    None => 'x',
-                })
-                .collect();
-            println!("{}  {}", profile.figure2_label(), strip);
+            let families: Vec<_> = samples.iter().map(|s| s.family).collect();
+            println!("{}  {}", profile.figure2_label(), strip::render(&families));
             let s = summarize_cad(&samples);
             println!(
                 "last v6: {:?} ms, first v4: {:?} ms, measured CAD: {:?} ms",
@@ -1323,12 +1316,7 @@ fn run(args: &[String]) -> Cmd {
             let cfg = SelectionCaseConfig::default();
             let run = run_selection(&profile, &cfg, 0, seed, &[], Some("-"));
             let r = emit_traces(&flags, vec![run])?.remove(0);
-            let order: String = r
-                .order
-                .iter()
-                .map(|f| if *f == Family::V6 { '6' } else { '4' })
-                .collect();
-            println!("attempt order: {order}");
+            println!("attempt order: {}", strip::render(&r.order));
             println!("addresses used: {} IPv6, {} IPv4", r.v6_used, r.v4_used);
             Ok(ExitCode::SUCCESS)
         }

@@ -15,11 +15,11 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use lazy_eye_inspection::campaign::{
-    build_report_with, forensics, run_campaign, CampaignMatrix, CampaignOptions, CampaignSpec,
-    Checkpoint, NetemSpec, RunContext, SelectionPlan,
+    build_report_with, forensics, run_campaign, CampaignOptions, CampaignSpec, Checkpoint,
+    NetemSpec, RunContext, SelectionPlan,
 };
-use lazy_eye_inspection::exec::Matrix;
 use lazy_eye_inspection::fleet::{run_fleet, FleetSpec};
+use lazy_eye_inspection::json::ToJson;
 use lazy_eye_inspection::obs::bundle::Bundle;
 use lazy_eye_inspection::obs::trigger;
 use lazy_eye_inspection::testbed::{CadCaseConfig, ResolverCaseConfig, SweepSpec};
@@ -153,8 +153,8 @@ fn campaign_traces_are_pinned() {
     for (r, untraced) in run.plan.iter().zip(&run.outputs) {
         let (traced, trace) = ctx.dispatch(r, true);
         assert_eq!(
-            CampaignMatrix::output_to_json(&traced),
-            CampaignMatrix::output_to_json(untraced),
+            ToJson::to_json(&traced),
+            ToJson::to_json(untraced),
             "run {}: traced and untraced samples differ",
             r.index
         );
