@@ -22,7 +22,7 @@ use lazyeye_testbed::{
 use lazyeye_trace::Trace;
 
 use crate::plan::{resolve_clients, resolve_resolvers, RunKind, RunSpec, SpecError};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, SelectionPlan};
 
 /// Registry handles for campaign-level metrics. Run counts are a pure
 /// function of `(spec, seed)` and live on the virtual clock; the per-run
@@ -231,11 +231,7 @@ impl RunContext {
         let selection = spec
             .selection
             .as_ref()
-            .map(|s| SelectionCaseConfig {
-                v6_addresses: s.v6_addresses,
-                v4_addresses: s.v4_addresses,
-                attempt_timeout_ms: s.attempt_timeout_ms,
-            })
+            .map(SelectionPlan::case_config)
             .unwrap_or_default();
         RunContext {
             spec: spec.clone(),
@@ -247,6 +243,17 @@ impl RunContext {
             netem,
             selection,
             fast: FastCache::default(),
+        }
+    }
+
+    /// Whether the subject `run` measures resolves here; dispatching a
+    /// run whose subject does not panics on the lookup.
+    pub(crate) fn resolves_subject(&self, run: &RunSpec) -> bool {
+        match &run.kind {
+            RunKind::Cad { client, .. }
+            | RunKind::Rd { client, .. }
+            | RunKind::Selection { client, .. } => self.clients.contains_key(client),
+            RunKind::Resolver { resolver, .. } => self.resolvers.contains_key(resolver),
         }
     }
 

@@ -101,7 +101,8 @@ impl RunProvenance {
     /// unknown case or delayed record, a condition that does not match
     /// the run, and netem or selection fields a spec could not hold. An
     /// unknown subject is not refused: the run then panics exactly as the
-    /// executor does on it, which is what a `run-panic` bundle records.
+    /// executor does on it, which is what a `run-panic` bundle records
+    /// ([`replay`] refuses it in every other bundle).
     pub fn to_run(&self) -> Result<(RunContext, RunSpec), SpecError> {
         let (subject, netem) = (self.subject.clone(), self.netem.label.clone());
         let (delay_ms, rep) = (self.delay_ms, self.rep);
@@ -491,6 +492,14 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayReport, JsonError> {
     let (ctx, run) = p
         .to_run()
         .map_err(|e| JsonError::new(format!("bundle provenance: {e}")))?;
+    // Only a run-panic bundle may name a subject nothing resolves: its
+    // run panics on the lookup exactly as the executor's did.
+    if kind != TriggerKind::RunPanic && !ctx.resolves_subject(&run) {
+        return Err(JsonError::new(format!(
+            "bundle provenance: unknown subject {:?}",
+            p.subject
+        )));
+    }
     let mut report = ReplayReport {
         kind: bundle.kind.clone(),
         key: bundle.key.clone(),
@@ -623,8 +632,9 @@ mod tests {
         assert!(bad.divergence.unwrap().contains("event 0"));
     }
 
-    /// Provenance that names no run among the known cases, records or
-    /// address ranges is an error before anything runs, never a panic.
+    /// Provenance that names no run among the known cases, records,
+    /// address ranges or subjects is an error before anything runs, never
+    /// a panic.
     #[test]
     fn replay_refuses_malformed_provenance() {
         let spec = CampaignSpec {
@@ -646,12 +656,20 @@ mod tests {
         v4.selection.as_mut().unwrap().v4_addresses = 255;
         let mut v6 = of_case("selection");
         v6.selection.as_mut().unwrap().v6_addresses = 10_000;
+        // Outside a run-panic bundle, a subject nothing resolves.
+        let mut client = of_case("cad");
+        client.subject = "nosuch-1.0".into();
+        let mut resolver = of_case("resolver");
+        resolver.subject = "nosuch-1.0".into();
+        let unknown = "bundle provenance: unknown subject \"nosuch-1.0\"";
         for (p, expected) in [
             (bogus, "unknown case \"bogus\""),
             (record, "unknown delayed record \"delayed-zzz\""),
             (condition, "condition \"lossy\" does not match"),
             (v4, "selection.v4_addresses must be at most 254, got 255"),
             (v6, "selection.v6_addresses must be at most 9999, got 10000"),
+            (client, unknown),
+            (resolver, unknown),
         ] {
             let bundle = Bundle::new("deviates", "k", "d", ToJson::to_json(&p), Json::Null);
             let err = replay(&bundle).expect_err(expected);

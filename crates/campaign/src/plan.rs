@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use lazyeye_clients::{all_measured_clients, ClientProfile};
 use lazyeye_resolver::{all_profiles, ResolverProfile};
-use lazyeye_testbed::{DelayedRecord, SelectionCaseConfig, SweepSpec};
+use lazyeye_testbed::{DelayedRecord, SweepSpec};
 
 use crate::spec::CampaignSpec;
 
@@ -300,24 +300,7 @@ pub(crate) fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
         return Err(SpecError::new("refine_step_ms must be > 0 when set"));
     }
     if let Some(sel) = &spec.selection {
-        for (field, count, max) in [
-            (
-                "v4_addresses",
-                sel.v4_addresses,
-                SelectionCaseConfig::MAX_V4_ADDRESSES,
-            ),
-            (
-                "v6_addresses",
-                sel.v6_addresses,
-                SelectionCaseConfig::MAX_V6_ADDRESSES,
-            ),
-        ] {
-            if count > max {
-                return Err(SpecError::new(format!(
-                    "selection.{field} must be at most {max}, got {count}"
-                )));
-            }
-        }
+        sel.case_config().validate()?;
     }
     Ok(())
 }

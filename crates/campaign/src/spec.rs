@@ -4,7 +4,9 @@
 
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_net::{Netem, NetemRule};
-use lazyeye_testbed::{CadCaseConfig, DelayedRecord, ResolverCaseConfig, SweepSpec};
+use lazyeye_testbed::{
+    CadCaseConfig, DelayedRecord, ResolverCaseConfig, SelectionCaseConfig, SweepSpec,
+};
 use std::time::Duration;
 
 /// An additional path condition applied (on top of the configured IPv6
@@ -95,6 +97,17 @@ lazyeye_json::impl_json_struct!(SelectionPlan {
     attempt_timeout_ms,
     repetitions,
 });
+
+impl SelectionPlan {
+    /// The testbed case one run of this plan executes.
+    pub fn case_config(&self) -> SelectionCaseConfig {
+        SelectionCaseConfig {
+            v6_addresses: self.v6_addresses,
+            v4_addresses: self.v4_addresses,
+            attempt_timeout_ms: self.attempt_timeout_ms,
+        }
+    }
+}
 
 impl Default for SelectionPlan {
     fn default() -> SelectionPlan {

@@ -599,9 +599,13 @@ impl<'a> Parser<'a> {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| self.err("invalid number"))
+        // A finite value only: the printers cannot write infinities, so a
+        // parsed `1e999` would otherwise fail only when re-serialised.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -1133,6 +1137,8 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\u{01}\"").is_err());
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse(&"9".repeat(400)).is_err());
     }
 
     #[test]

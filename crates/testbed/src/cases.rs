@@ -56,6 +56,15 @@ impl SweepSpec {
         Some(SweepSpec::new(start, first_v4 - 1, step_ms))
     }
 
+    /// Number of delay values, counted without materialising them.
+    pub fn count(&self) -> u64 {
+        match self.step_ms {
+            0 => 1,
+            _ if self.end_ms < self.start_ms => 0,
+            step => (self.end_ms - self.start_ms) / step + 1,
+        }
+    }
+
     /// Materialises the delay values. A zero step (possible only via
     /// deserialized configs, [`SweepSpec::new`] rejects it) yields just the
     /// start value instead of looping forever.
@@ -142,6 +151,22 @@ impl SelectionCaseConfig {
     /// Most dead IPv6 addresses a run can offer: `2001:db8:dead::1` to
     /// `2001:db8:dead::9999` (the index is written into one hextet).
     pub const MAX_V6_ADDRESSES: usize = 9999;
+
+    /// Checks the address counts against what one run can number. The
+    /// one check for campaign specs, run provenance and testbed configs.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, count, max) in [
+            ("v4_addresses", self.v4_addresses, Self::MAX_V4_ADDRESSES),
+            ("v6_addresses", self.v6_addresses, Self::MAX_V6_ADDRESSES),
+        ] {
+            if count > max {
+                return Err(format!(
+                    "selection.{field} must be at most {max}, got {count}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for SelectionCaseConfig {
@@ -229,9 +254,34 @@ lazyeye_json::impl_json_struct!(TestbedConfig {
 });
 
 impl TestbedConfig {
-    /// Loads a config from JSON.
+    /// Loads a config from JSON and checks it (see
+    /// [`TestbedConfig::validate`]).
     pub fn from_json(s: &str) -> Result<TestbedConfig, JsonError> {
-        FromJson::from_json(&Json::parse(s)?)
+        let cfg: TestbedConfig = FromJson::from_json(&Json::parse(s)?)?;
+        cfg.validate().map_err(JsonError::new)?;
+        Ok(cfg)
+    }
+
+    /// Checks the config before anything runs: selection address counts
+    /// a run can number, and at most [`lazyeye_exec::MAX_PLANNED_ITEMS`]
+    /// runs in all, counted from the sweep sizes before any is expanded.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(selection) = &self.selection {
+            selection.validate()?;
+        }
+        let sweep = |s: &SweepSpec, reps: u32| s.count().saturating_mul(reps.into());
+        let runs = [
+            self.cad.as_ref().map(|c| sweep(&c.sweep, c.repetitions)),
+            self.rd.as_ref().map(|r| sweep(&r.sweep, r.repetitions)),
+            self.selection.as_ref().map(|_| 1),
+            self.resolver
+                .as_ref()
+                .map(|r| sweep(&r.sweep, r.repetitions)),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(0, u64::saturating_add);
+        lazyeye_exec::check_plan_budget(runs, "runs")
     }
 
     /// Serialises to JSON.
@@ -275,6 +325,28 @@ mod tests {
     fn paper_fine_sweep_has_81_points() {
         // 0..=400 step 5 → 81 configurations, as in §5.1.
         assert_eq!(SweepSpec::paper_fine().values().len(), 81);
+        assert_eq!(SweepSpec::paper_fine().count(), 81);
+        let inverted = SweepSpec {
+            start_ms: 10,
+            end_ms: 0,
+            step_ms: 5,
+        };
+        assert_eq!(inverted.count(), inverted.values().len() as u64);
+    }
+
+    #[test]
+    fn hostile_configs_are_refused_before_running() {
+        let mut cfg = TestbedConfig::default();
+        cfg.selection.as_mut().unwrap().v4_addresses = 300;
+        let err = TestbedConfig::from_json(&cfg.to_json()).unwrap_err();
+        assert!(
+            err.message.contains("v4_addresses must be at most 254"),
+            "{err}"
+        );
+        let mut cfg = TestbedConfig::default();
+        cfg.cad.as_mut().unwrap().sweep = SweepSpec::new(0, 1_000_000_000_000, 1);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("over the budget"), "{err}");
     }
 
     #[test]

@@ -10,15 +10,22 @@
 //! its planned item, a malformed shard, an embedded spec that plans past
 //! the kernel's item budget — must exit 1 with an error, never a panic or
 //! an out-of-memory abort, and within 5 s under a 1.5 GB address-space
-//! limit. So must a fresh run of such a spec, or of one asking for more
-//! dead selection addresses than a run can number.
+//! limit. So must a fresh run of such a spec or testbed config, or of one
+//! asking for more dead selection addresses than a run can number.
+//!
+//! Below the CLI, every truncation prefix and a fixed-seed set of
+//! single-byte mutations of the fixtures, and of an emitted trace set,
+//! must load (or parse) or fail with an error, never panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 use lazy_eye_inspection::campaign::{CampaignSpec, Checkpoint, SelectionPlan};
+use lazy_eye_inspection::clients::all_measured_clients;
 use lazy_eye_inspection::fleet::{FleetCheckpoint, FleetSpec};
+use lazy_eye_inspection::testbed::{run_cad, SweepSpec, TestbedConfig};
+use lazy_eye_inspection::trace::TraceSet;
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -42,12 +49,12 @@ fn lazyeye(args: &[&str]) -> Output {
         .expect("lazyeye runs")
 }
 
-/// Writes `text` to a scratch file named after `name` and returns its
+/// Writes `bytes` to a scratch file named after `name` and returns its
 /// path.
-fn scratch(name: &str, text: &str) -> String {
+fn scratch(name: &str, bytes: impl AsRef<[u8]>) -> String {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("hostile-{}-{name}.json", std::process::id()));
-    std::fs::write(&path, text).expect("scratch file is writable");
+    std::fs::write(&path, bytes).expect("scratch file is writable");
     path.to_string_lossy().into_owned()
 }
 
@@ -331,6 +338,37 @@ fn specs_over_the_plan_budget_fail_cleanly() {
 }
 
 #[test]
+fn hostile_testbed_configs_fail_cleanly() {
+    // More dead IPv4 addresses than a run can number, refused by the
+    // selection limit campaign specs share.
+    let mut selection = TestbedConfig::default();
+    selection.selection.as_mut().unwrap().v4_addresses = 300;
+    // A 10^12-value CAD sweep, refused against the plan budget.
+    let mut sweep = TestbedConfig::default();
+    sweep.cad.as_mut().unwrap().sweep = SweepSpec {
+        start_ms: 0,
+        end_ms: 1_000_000_000_000,
+        step_ms: 1,
+    };
+    for (name, cfg, error) in [
+        (
+            "config-selection",
+            selection,
+            "bad config: selection.v4_addresses must be at most 254, got 300",
+        ),
+        ("config-sweep", sweep, "over the budget of 10000000"),
+    ] {
+        let path = scratch(name, &cfg.to_json());
+        let stderr = assert_fails(name, &["run", "--config", &path]);
+        assert!(
+            stderr.contains(error),
+            "{name}: expected {error:?}\n{stderr}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn partials_embedding_specs_over_the_plan_budget_fail_cleanly() {
     let campaign = edit(
         "campaign-shard-1of2.json",
@@ -359,4 +397,87 @@ fn csv_diffs_are_refused() {
         );
         assert!(stderr.contains("expected text|json"), "{stderr}");
     }
+}
+
+/// Single-byte mutations per input, drawn from a fixed seed.
+const MUTATIONS: usize = 256;
+
+/// Every truncation prefix of `text`, then [`MUTATIONS`] copies of it with
+/// one byte replaced, from a fixed-seed xorshift stream. The replacement
+/// bytes are the ones JSON and the wire formats give meaning to, plus one
+/// that is not UTF-8.
+fn hostile_variants(text: &str, seed: u64) -> Vec<Vec<u8>> {
+    const BYTES: &[u8] = b"0123456789-+.eE\"\\{}[],: nultrfasxv\xff";
+    let bytes = text.as_bytes();
+    let mut state = seed;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    let mut variants: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+    for _ in 0..MUTATIONS {
+        let mut mutated = bytes.to_vec();
+        let at = next() % mutated.len();
+        mutated[at] = BYTES[next() % BYTES.len()];
+        variants.push(mutated);
+    }
+    variants
+}
+
+/// Runs `ingest` on every hostile variant of `text`; each must return
+/// (`Ok` or `Err`), never panic.
+fn assert_never_panics(name: &str, text: &str, ingest: impl Fn(&[u8])) {
+    for (i, variant) in hostile_variants(text, 0x5EED_0000 + text.len() as u64)
+        .iter()
+        .enumerate()
+    {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ingest(variant)));
+        assert!(
+            outcome.is_ok(),
+            "{name} variant {i} panicked:\n{}",
+            String::from_utf8_lossy(variant)
+        );
+    }
+}
+
+#[test]
+fn truncated_and_mutated_partials_load_or_fail_cleanly() {
+    for name in [
+        "campaign-shard-0of2.json",
+        "campaign-shard-1of2.json",
+        "fleet-shard-0of2.json",
+        "fleet-shard-1of2.json",
+    ] {
+        let campaign = name.starts_with("campaign");
+        assert_never_panics(name, &read(name), |variant| {
+            let path = scratch(&format!("mutated-{name}"), variant);
+            // A partial that loads must also re-serialise.
+            let _ = if campaign {
+                Checkpoint::load(&path).map(|p| p.to_json_string())
+            } else {
+                FleetCheckpoint::load(&path).map(|p| p.to_json_string())
+            };
+            let _ = std::fs::remove_file(&path);
+        });
+    }
+}
+
+#[test]
+fn truncated_and_mutated_traces_parse_or_fail_cleanly() {
+    let chrome = all_measured_clients()
+        .into_iter()
+        .find(|c| c.id() == "chrome-130.0")
+        .expect("builtin profile");
+    let (_, trace, _) = run_cad(&chrome, 300, 0, 7, &[], Some("baseline"));
+    let mut set = TraceSet::default();
+    set.push(trace.expect("traced"));
+    let text = set.to_json_string();
+    assert_never_panics("trace set", &text, |variant| {
+        // A trace set that parses must also re-emit.
+        if let Ok(parsed) = TraceSet::from_json_str(&String::from_utf8_lossy(variant)) {
+            let _ = parsed.to_json_string();
+        }
+    });
 }
