@@ -3,7 +3,9 @@
 //! inference section, and report-to-report diffing.
 
 use lazyeye_exec::Report;
-use lazyeye_infer::{fmt_opt, match_keyed, push_fields, Field, FieldDelta, Verdict};
+use lazyeye_infer::{
+    fmt_opt, match_keyed, push_fields, render_diff_text, Field, FieldDelta, Verdict,
+};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
 
@@ -385,25 +387,14 @@ impl ReportDiff {
             && self.feature_changes.is_empty()
     }
 
-    /// Human-readable rendering.
+    /// Human-readable rendering (see [`render_diff_text`]).
     pub fn render_text(&self) -> String {
-        if self.is_empty() {
-            return "no behaviour changes\n".to_string();
-        }
-        let mut out = String::new();
-        for k in &self.removed_cells {
-            out.push_str(&format!("- cell {k}\n"));
-        }
-        for k in &self.added_cells {
-            out.push_str(&format!("+ cell {k}\n"));
-        }
-        for d in &self.changed {
-            out.push_str(&format!("~ {d}\n"));
-        }
-        for d in &self.feature_changes {
-            out.push_str(&format!("~ feature {d}\n"));
-        }
-        out
+        render_diff_text(
+            "cell",
+            &self.added_cells,
+            &self.removed_cells,
+            &[("", &self.changed), ("feature ", &self.feature_changes)],
+        )
     }
 
     /// Pretty JSON rendering.

@@ -8,7 +8,8 @@
 //! `lazyeye campaign --diff` does for campaign reports.
 
 use lazyeye_infer::{
-    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, Field, FieldDelta,
+    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, render_diff_text, Field,
+    FieldDelta,
 };
 use lazyeye_json::ToJson;
 
@@ -181,28 +182,18 @@ impl FleetDiff {
         out
     }
 
-    /// Human-readable rendering, `campaign --diff` style.
+    /// Human-readable rendering (see [`render_diff_text`]).
     pub fn render_text(&self) -> String {
-        if self.is_empty() {
-            return "no behaviour changes\n".to_string();
-        }
-        let mut out = String::new();
-        for s in &self.removed {
-            out.push_str(&format!("- member {s}\n"));
-        }
-        for s in &self.added {
-            out.push_str(&format!("+ member {s}\n"));
-        }
-        for d in &self.changed {
-            out.push_str(&format!("~ {d}\n"));
-        }
-        for d in &self.resolver_changed {
-            out.push_str(&format!("~ resolver {d}\n"));
-        }
-        for d in &self.summary_changed {
-            out.push_str(&format!("~ summary {d}\n"));
-        }
-        out
+        render_diff_text(
+            "member",
+            &self.added,
+            &self.removed,
+            &[
+                ("", &self.changed),
+                ("resolver ", &self.resolver_changed),
+                ("summary ", &self.summary_changed),
+            ],
+        )
     }
 }
 

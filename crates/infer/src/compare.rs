@@ -1,8 +1,11 @@
 //! Profile/report comparison primitives: typed field-level deltas shared
 //! by the campaign's inference-vs-summary agreement check and the
-//! `lazyeye campaign --diff` report differ.
+//! `--diff` of campaign reports, fleet reports and inferred-profile sets,
+//! plus the one text renderer all three diffs print through.
 
-use lazyeye_json::ToJson;
+use std::fmt::Write as _;
+
+use lazyeye_json::{FromJson, Json, ToJson};
 
 use crate::profile::InferredProfile;
 
@@ -85,6 +88,106 @@ pub fn match_keyed<'a, T, K: PartialEq>(
     (added, removed)
 }
 
+/// Renders a behaviour diff as text, the one text form of every
+/// `--diff`: a `- {noun} {key}` line per removed key, a `+ {noun} {key}`
+/// line per added key, then a `~ {label}{delta}` line per delta of each
+/// `(label, deltas)` section, in order. With none of these it reads
+/// `no behaviour changes`.
+pub fn render_diff_text(
+    noun: &str,
+    added: &[String],
+    removed: &[String],
+    sections: &[(&str, &[FieldDelta])],
+) -> String {
+    let mut out = String::new();
+    for key in removed {
+        let _ = writeln!(out, "- {noun} {key}");
+    }
+    for key in added {
+        let _ = writeln!(out, "+ {noun} {key}");
+    }
+    for (label, deltas) in sections {
+        for delta in *deltas {
+            let _ = writeln!(out, "~ {label}{delta}");
+        }
+    }
+    if out.is_empty() {
+        out.push_str("no behaviour changes\n");
+    }
+    out
+}
+
+/// The behaviour changes between two inferred-profile sets, matched by
+/// subject — `lazyeye infer --diff old.json new.json`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ProfileSetDiff {
+    /// Subjects present only in the new set.
+    pub added: Vec<String>,
+    /// Subjects present only in the old set.
+    pub removed: Vec<String>,
+    /// Field-level changes of subjects present in both, prefixed with the
+    /// subject.
+    pub changed: Vec<FieldDelta>,
+}
+
+lazyeye_json::impl_json_struct!(ProfileSetDiff {
+    added,
+    removed,
+    changed,
+});
+
+impl ProfileSetDiff {
+    /// Diffs two profile sets subject by subject.
+    pub fn new(old: &[InferredProfile], new: &[InferredProfile]) -> ProfileSetDiff {
+        let mut changed = Vec::new();
+        let subject = |p: &InferredProfile| p.subject.clone();
+        let (added, removed) = match_keyed(old, new, subject, |o, n| {
+            changed.extend(diff_profiles(o, n).into_iter().map(|delta| FieldDelta {
+                field: format!("{}.{}", o.subject, delta.field),
+                ..delta
+            }))
+        });
+        ProfileSetDiff {
+            added: added.into_iter().map(subject).collect(),
+            removed: removed.into_iter().map(subject).collect(),
+            changed,
+        }
+    }
+
+    /// The text form (see [`render_diff_text`]).
+    pub fn render_text(&self) -> String {
+        render_diff_text(
+            "profile",
+            &self.added,
+            &self.removed,
+            &[("", &self.changed)],
+        )
+    }
+}
+
+/// Reads inferred profiles from any of the JSON shapes the tool emits: a
+/// bare array of profiles, an array of `{profile, conformance}` reports,
+/// or an object carrying a `clients`/`profiles` array (the
+/// `infer --trace` and `--campaign` outputs respectively).
+pub fn profiles_from_json(v: &Json) -> Result<Vec<InferredProfile>, String> {
+    match v {
+        Json::Arr(entries) => entries
+            .iter()
+            .map(|entry| {
+                let body = entry.get("profile").unwrap_or(entry);
+                InferredProfile::from_json(body).map_err(|e| format!("bad profile entry: {e}"))
+            })
+            .collect(),
+        Json::Obj(_) => match ["clients", "profiles"].iter().find_map(|key| v.get(key)) {
+            Some(inner) => profiles_from_json(inner),
+            None => {
+                Err("expected a profile array or an object with a clients/profiles key".to_string())
+            }
+        },
+        _ => Err("expected a profile array or object".to_string()),
+    }
+}
+
 /// Field-level diff of two inferred profiles (same subject or not); used
 /// to compare a client across versions or campaigns.
 pub fn diff_profiles(old: &InferredProfile, new: &InferredProfile) -> Vec<FieldDelta> {
@@ -124,6 +227,37 @@ mod tests {
         v6.family = Some(Family::V6);
         let p = infer_profile("c", &[v6]);
         assert!(diff_profiles(&p, &p).is_empty());
+    }
+
+    #[test]
+    fn profile_sets_diff_by_subject_and_render_once() {
+        let profile = |subject: &str, family: Family| {
+            let mut o = Observation::shell(CaseKind::Cad, subject, "baseline", 0, 0);
+            o.family = Some(family);
+            infer_profile(subject, &[o])
+        };
+        let old = [profile("a", Family::V6), profile("b", Family::V6)];
+        let new = [profile("b", Family::V4), profile("c", Family::V6)];
+        let diff = ProfileSetDiff::new(&old, &new);
+        assert_eq!(diff.added, vec!["c"]);
+        assert_eq!(diff.removed, vec!["a"]);
+        assert!(diff.changed.iter().all(|d| d.field.starts_with("b.")));
+        let text = diff.render_text();
+        assert!(
+            text.starts_with("- profile a\n+ profile c\n~ b.prefers_v6: "),
+            "{text}"
+        );
+        assert_eq!(
+            ProfileSetDiff::new(&old, &old).render_text(),
+            "no behaviour changes\n"
+        );
+
+        // Every shape the tool emits reads back as the same profiles.
+        let bare = Json::Arr(old.iter().map(ToJson::to_json).collect());
+        let wrapped = Json::obj(vec![("clients", bare.clone())]);
+        assert_eq!(profiles_from_json(&bare).unwrap(), old);
+        assert_eq!(profiles_from_json(&wrapped).unwrap(), old);
+        assert!(profiles_from_json(&Json::Null).is_err());
     }
 
     #[test]

@@ -37,7 +37,8 @@ pub mod resolver;
 
 pub use changepoint::{detect_switchover, Changepoint};
 pub use compare::{
-    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, Field, FieldDelta,
+    diff_profiles, fmt_opt, match_keyed, profiles_from_json, push_delta, push_fields,
+    render_diff_text, Field, FieldDelta, ProfileSetDiff,
 };
 pub use conformance::{score_profile, ConformanceEntry, Verdict};
 pub use observe::{CaseKind, Observation};

@@ -47,8 +47,8 @@ use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
 use lazy_eye_inspection::exec::{merge, Engine, Matrix, Partial, Report, Shard};
 use lazy_eye_inspection::fleet::{FleetMatrix, FleetReport, FleetSpec};
 use lazy_eye_inspection::infer::{
-    diff_profiles, fmt_opt, infer_resolver_traces, infer_traces, match_keyed, score_profile,
-    FieldDelta, InferredProfile, InferredResolverReport,
+    fmt_opt, infer_resolver_traces, infer_traces, profiles_from_json, score_profile,
+    InferredResolverReport, ProfileSetDiff,
 };
 use lazy_eye_inspection::json::{FromJson, Json, ToJson};
 use lazy_eye_inspection::net::strip;
@@ -382,35 +382,6 @@ fn render_inferred_resolvers(reports: &[InferredResolverReport]) -> String {
     out
 }
 
-/// Extracts inferred client profiles from any of the JSON shapes the
-/// tool emits: a bare array of profiles, an array of
-/// `{profile, conformance}` reports, or an object carrying a
-/// `clients`/`profiles` array (the `infer --trace` and `--campaign`
-/// outputs respectively).
-fn extract_profiles(v: &Json) -> Result<Vec<InferredProfile>, String> {
-    match v {
-        Json::Arr(entries) => entries
-            .iter()
-            .map(|entry| {
-                let body = match entry.get("profile") {
-                    Some(p) => p,
-                    None => entry,
-                };
-                InferredProfile::from_json(body).map_err(|e| format!("bad profile entry: {e}"))
-            })
-            .collect(),
-        Json::Obj(_) => {
-            for key in ["clients", "profiles"] {
-                if let Some(inner) = v.get(key) {
-                    return extract_profiles(inner);
-                }
-            }
-            Err("expected a profile array or an object with a clients/profiles key".to_string())
-        }
-        _ => Err("expected a profile array or object".to_string()),
-    }
-}
-
 /// `infer --diff old.json new.json`: field-level behaviour deltas
 /// between two sets of inferred profiles, matched by subject.
 fn cmd_infer_diff(rest: &[String]) -> Cmd {
@@ -418,42 +389,12 @@ fn cmd_infer_diff(rest: &[String]) -> Cmd {
     let mut sets = Vec::new();
     for path in paths {
         let v = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-        sets.push(extract_profiles(&v).map_err(|e| format!("{path}: {e}"))?);
+        sets.push(profiles_from_json(&v).map_err(|e| format!("{path}: {e}"))?);
     }
-    let mut changed = Vec::new();
-    let subject = |p: &InferredProfile| p.subject.clone();
-    let (added, removed) = match_keyed(&sets[0], &sets[1], subject, |o, n| {
-        changed.extend(diff_profiles(o, n).into_iter().map(|delta| FieldDelta {
-            field: format!("{}.{}", o.subject, delta.field),
-            ..delta
-        }))
-    });
-    let added: Vec<&str> = added.iter().map(|p| p.subject.as_str()).collect();
-    let removed: Vec<&str> = removed.iter().map(|p| p.subject.as_str()).collect();
+    let diff = ProfileSetDiff::new(&sets[0], &sets[1]);
     match format {
-        Format::Json => {
-            let doc = Json::obj(vec![
-                ("added", ToJson::to_json(&added)),
-                ("removed", ToJson::to_json(&removed)),
-                ("changed", ToJson::to_json(&changed)),
-            ]);
-            println!("{}", doc.to_string_pretty());
-        }
-        _ => {
-            if added.is_empty() && removed.is_empty() && changed.is_empty() {
-                println!("no behaviour changes");
-            } else {
-                for s in &removed {
-                    println!("- profile {s}");
-                }
-                for s in &added {
-                    println!("+ profile {s}");
-                }
-                for d in &changed {
-                    println!("~ {d}");
-                }
-            }
-        }
+        Format::Json => println!("{}", ToJson::to_json(&diff).to_string_pretty()),
+        _ => print!("{}", diff.render_text()),
     }
     Ok(ExitCode::SUCCESS)
 }
