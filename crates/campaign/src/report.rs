@@ -3,9 +3,7 @@
 //! inference section, and report-to-report diffing.
 
 use lazyeye_exec::Report;
-use lazyeye_infer::{
-    fmt_opt, match_keyed, push_fields, render_diff_text, Field, FieldDelta, Verdict,
-};
+use lazyeye_infer::{fmt_opt, match_keyed, push_fields, BehaviourDiff, Field, FieldDelta, Verdict};
 use lazyeye_json::{FromJson, Json, JsonError, ToJson};
 use lazyeye_testbed::Table;
 
@@ -378,30 +376,15 @@ lazyeye_json::impl_json_struct!(ReportDiff {
     feature_changes,
 });
 
-impl ReportDiff {
-    /// `true` when the reports describe identical behaviour.
-    pub fn is_empty(&self) -> bool {
-        self.added_cells.is_empty()
-            && self.removed_cells.is_empty()
-            && self.changed.is_empty()
-            && self.feature_changes.is_empty()
+impl BehaviourDiff for ReportDiff {
+    const NOUN: &'static str = "cell";
+
+    fn keys(&self) -> (&[String], &[String]) {
+        (&self.added_cells, &self.removed_cells)
     }
 
-    /// Human-readable rendering (see [`render_diff_text`]).
-    pub fn render_text(&self) -> String {
-        render_diff_text(
-            "cell",
-            &self.added_cells,
-            &self.removed_cells,
-            &[("", &self.changed), ("feature ", &self.feature_changes)],
-        )
-    }
-
-    /// Pretty JSON rendering.
-    pub fn to_json(&self) -> String {
-        let mut out = ToJson::to_json(self).to_string_pretty();
-        out.push('\n');
-        out
+    fn sections(&self) -> Vec<(&'static str, &[FieldDelta])> {
+        vec![("", &self.changed), ("feature ", &self.feature_changes)]
     }
 }
 
@@ -419,12 +402,7 @@ impl Report for CampaignReport {
         CampaignReport::from_json_str(text)
     }
     fn diff(old: &CampaignReport, new: &CampaignReport, json: bool) -> String {
-        let diff = diff_reports(old, new);
-        if json {
-            diff.to_json()
-        } else {
-            diff.render_text()
-        }
+        diff_reports(old, new).render(json)
     }
 }
 
@@ -629,7 +607,7 @@ mod tests {
             .find(|d| d.field == "cad/chrome-130.0/baseline.first_v4_delay_ms")
             .unwrap();
         assert_eq!((d.old.as_str(), d.new.as_str()), ("320", "205"));
-        let text = diff.render_text();
+        let text = diff.render(false);
         assert!(text.contains("+ cell cad/firefox-132.0/baseline"), "{text}");
         assert!(text.contains("first_v4_delay_ms: 320 -> 205"), "{text}");
 

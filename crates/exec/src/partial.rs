@@ -266,14 +266,7 @@ impl<M: Matrix> Partial<M> {
         let outputs: Vec<Json> = self
             .outputs
             .iter()
-            .map(|(index, output)| {
-                let mut pairs = vec![("index".to_string(), index.to_json())];
-                let Json::Obj(body) = output.to_json() else {
-                    unreachable!("outputs serialise to objects");
-                };
-                pairs.extend(body);
-                Json::Obj(pairs)
-            })
+            .map(|(index, output)| output.to_json().with_leading("index", index.to_json()))
             .collect();
         Json::obj(vec![
             ("version", VERSION.to_json()),

@@ -311,7 +311,10 @@ mod tests {
                 .iter()
                 .map(|(delay, cells)| TierObservation {
                     delay_ms: *delay,
-                    families: lazyeye_net::strip::parse(cells).unwrap(),
+                    families: lazyeye_net::strip::from_json(&lazyeye_json::Json::Str(
+                        cells.to_string(),
+                    ))
+                    .unwrap(),
                     fetch_us: Vec::new(),
                 })
                 .collect(),

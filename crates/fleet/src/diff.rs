@@ -8,10 +8,8 @@
 //! `lazyeye campaign --diff` does for campaign reports.
 
 use lazyeye_infer::{
-    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, render_diff_text, Field,
-    FieldDelta,
+    diff_profiles, fmt_opt, match_keyed, push_delta, push_fields, BehaviourDiff, Field, FieldDelta,
 };
-use lazyeye_json::ToJson;
 
 use crate::report::{FleetReport, FleetSummary, MemberReport, ResolverCheckReport};
 
@@ -164,36 +162,19 @@ pub fn diff_fleet_reports(old: &FleetReport, new: &FleetReport) -> FleetDiff {
     diff
 }
 
-impl FleetDiff {
-    /// `true` when the two reports describe identical population
-    /// behaviour.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty()
-            && self.removed.is_empty()
-            && self.changed.is_empty()
-            && self.resolver_changed.is_empty()
-            && self.summary_changed.is_empty()
+impl BehaviourDiff for FleetDiff {
+    const NOUN: &'static str = "member";
+
+    fn keys(&self) -> (&[String], &[String]) {
+        (&self.added, &self.removed)
     }
 
-    /// Pretty JSON rendering.
-    pub fn to_json(&self) -> String {
-        let mut out = ToJson::to_json(self).to_string_pretty();
-        out.push('\n');
-        out
-    }
-
-    /// Human-readable rendering (see [`render_diff_text`]).
-    pub fn render_text(&self) -> String {
-        render_diff_text(
-            "member",
-            &self.added,
-            &self.removed,
-            &[
-                ("", &self.changed),
-                ("resolver ", &self.resolver_changed),
-                ("summary ", &self.summary_changed),
-            ],
-        )
+    fn sections(&self) -> Vec<(&'static str, &[FieldDelta])> {
+        vec![
+            ("", &self.changed),
+            ("resolver ", &self.resolver_changed),
+            ("summary ", &self.summary_changed),
+        ]
     }
 }
 
@@ -219,11 +200,12 @@ mod tests {
         let report = run_fleet(&small_spec(5), 2, |_, _| {}).unwrap();
         let diff = diff_fleet_reports(&report, &report);
         assert!(diff.is_empty(), "self-diff must be empty: {diff:?}");
-        assert_eq!(diff.render_text(), "no behaviour changes\n");
+        assert_eq!(diff.render(false), "no behaviour changes\n");
         // JSON round trip of the diff itself.
-        let back: FleetDiff =
-            lazyeye_json::FromJson::from_json(&lazyeye_json::Json::parse(&diff.to_json()).unwrap())
-                .unwrap();
+        let back: FleetDiff = lazyeye_json::FromJson::from_json(
+            &lazyeye_json::Json::parse(&diff.render(true)).unwrap(),
+        )
+        .unwrap();
         assert_eq!(back, diff);
     }
 
@@ -248,7 +230,7 @@ mod tests {
             .changed
             .iter()
             .any(|d| d.field.ends_with(".agrees_with_known")));
-        let text = diff.render_text();
+        let text = diff.render(false);
         assert!(text.contains("rd_verdict"), "{text}");
     }
 

@@ -554,12 +554,7 @@ impl Report for FleetReport {
         FleetReport::from_json_str(text)
     }
     fn diff(old: &FleetReport, new: &FleetReport, json: bool) -> String {
-        let diff = crate::diff::diff_fleet_reports(old, new);
-        if json {
-            diff.to_json()
-        } else {
-            diff.render_text()
-        }
+        lazyeye_infer::BehaviourDiff::render(&crate::diff::diff_fleet_reports(old, new), json)
     }
 }
 

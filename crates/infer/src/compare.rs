@@ -88,33 +88,52 @@ pub fn match_keyed<'a, T, K: PartialEq>(
     (added, removed)
 }
 
-/// Renders a behaviour diff as text, the one text form of every
-/// `--diff`: a `- {noun} {key}` line per removed key, a `+ {noun} {key}`
-/// line per added key, then a `~ {label}{delta}` line per delta of each
-/// `(label, deltas)` section, in order. With none of these it reads
-/// `no behaviour changes`.
-pub fn render_diff_text(
-    noun: &str,
-    added: &[String],
-    removed: &[String],
-    sections: &[(&str, &[FieldDelta])],
-) -> String {
-    let mut out = String::new();
-    for key in removed {
-        let _ = writeln!(out, "- {noun} {key}");
+/// A behaviour diff between two snapshots (campaign reports, fleet
+/// reports, inferred-profile sets): the keys only one side has, and
+/// sections of field deltas. Every `--diff` prints through
+/// [`BehaviourDiff::render`].
+pub trait BehaviourDiff: ToJson {
+    /// The noun of one key (`cell`, `member`, `profile`).
+    const NOUN: &'static str;
+    /// The keys only in the new snapshot, then those only in the old one.
+    fn keys(&self) -> (&[String], &[String]);
+    /// The `(label, deltas)` sections, in print order.
+    fn sections(&self) -> Vec<(&'static str, &[FieldDelta])>;
+
+    /// `true` when the two snapshots behave identically.
+    fn is_empty(&self) -> bool {
+        let (added, removed) = self.keys();
+        added.is_empty() && removed.is_empty() && self.sections().iter().all(|s| s.1.is_empty())
     }
-    for key in added {
-        let _ = writeln!(out, "+ {noun} {key}");
-    }
-    for (label, deltas) in sections {
-        for delta in *deltas {
-            let _ = writeln!(out, "~ {label}{delta}");
+
+    /// Pretty JSON when `json` is set. Else text: a `- {noun} {key}` line
+    /// per removed key, a `+ {noun} {key}` line per added key, then a
+    /// `~ {label}{delta}` line per delta of each section, in order; or
+    /// `no behaviour changes`.
+    fn render(&self, json: bool) -> String {
+        let mut out = String::new();
+        if json {
+            self.to_json().write_pretty_into(&mut out);
+            out.push('\n');
+            return out;
         }
+        let (added, removed) = self.keys();
+        for key in removed {
+            let _ = writeln!(out, "- {} {key}", Self::NOUN);
+        }
+        for key in added {
+            let _ = writeln!(out, "+ {} {key}", Self::NOUN);
+        }
+        for (label, deltas) in self.sections() {
+            for delta in deltas {
+                let _ = writeln!(out, "~ {label}{delta}");
+            }
+        }
+        if out.is_empty() {
+            out.push_str("no behaviour changes\n");
+        }
+        out
     }
-    if out.is_empty() {
-        out.push_str("no behaviour changes\n");
-    }
-    out
 }
 
 /// The behaviour changes between two inferred-profile sets, matched by
@@ -125,8 +144,7 @@ pub struct ProfileSetDiff {
     pub added: Vec<String>,
     /// Subjects present only in the old set.
     pub removed: Vec<String>,
-    /// Field-level changes of subjects present in both, prefixed with the
-    /// subject.
+    /// Changed fields of subjects in both, prefixed with the subject.
     pub changed: Vec<FieldDelta>,
 }
 
@@ -153,15 +171,17 @@ impl ProfileSetDiff {
             changed,
         }
     }
+}
 
-    /// The text form (see [`render_diff_text`]).
-    pub fn render_text(&self) -> String {
-        render_diff_text(
-            "profile",
-            &self.added,
-            &self.removed,
-            &[("", &self.changed)],
-        )
+impl BehaviourDiff for ProfileSetDiff {
+    const NOUN: &'static str = "profile";
+
+    fn keys(&self) -> (&[String], &[String]) {
+        (&self.added, &self.removed)
+    }
+
+    fn sections(&self) -> Vec<(&'static str, &[FieldDelta])> {
+        vec![("", &self.changed)]
     }
 }
 
@@ -170,22 +190,17 @@ impl ProfileSetDiff {
 /// or an object carrying a `clients`/`profiles` array (the
 /// `infer --trace` and `--campaign` outputs respectively).
 pub fn profiles_from_json(v: &Json) -> Result<Vec<InferredProfile>, String> {
-    match v {
-        Json::Arr(entries) => entries
-            .iter()
-            .map(|entry| {
-                let body = entry.get("profile").unwrap_or(entry);
-                InferredProfile::from_json(body).map_err(|e| format!("bad profile entry: {e}"))
-            })
-            .collect(),
-        Json::Obj(_) => match ["clients", "profiles"].iter().find_map(|key| v.get(key)) {
-            Some(inner) => profiles_from_json(inner),
-            None => {
-                Err("expected a profile array or an object with a clients/profiles key".to_string())
-            }
-        },
-        _ => Err("expected a profile array or object".to_string()),
+    if let Some(inner) = ["clients", "profiles"].iter().find_map(|key| v.get(key)) {
+        return profiles_from_json(inner);
     }
+    let entries = v
+        .as_array()
+        .ok_or("expected a profile array or an object with a clients/profiles key")?;
+    let profile = |e: &Json| InferredProfile::from_json(e.get("profile").unwrap_or(e));
+    entries
+        .iter()
+        .map(|e| profile(e).map_err(|err| format!("bad profile entry: {err}")))
+        .collect()
 }
 
 /// Field-level diff of two inferred profiles (same subject or not); used
@@ -242,13 +257,13 @@ mod tests {
         assert_eq!(diff.added, vec!["c"]);
         assert_eq!(diff.removed, vec!["a"]);
         assert!(diff.changed.iter().all(|d| d.field.starts_with("b.")));
-        let text = diff.render_text();
+        let text = diff.render(false);
         assert!(
             text.starts_with("- profile a\n+ profile c\n~ b.prefers_v6: "),
             "{text}"
         );
         assert_eq!(
-            ProfileSetDiff::new(&old, &old).render_text(),
+            ProfileSetDiff::new(&old, &old).render(false),
             "no behaviour changes\n"
         );
 

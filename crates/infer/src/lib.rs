@@ -38,7 +38,7 @@ pub mod resolver;
 pub use changepoint::{detect_switchover, Changepoint};
 pub use compare::{
     diff_profiles, fmt_opt, match_keyed, profiles_from_json, push_delta, push_fields,
-    render_diff_text, Field, FieldDelta, ProfileSetDiff,
+    BehaviourDiff, Field, FieldDelta, ProfileSetDiff,
 };
 pub use conformance::{score_profile, ConformanceEntry, Verdict};
 pub use observe::{CaseKind, Observation};

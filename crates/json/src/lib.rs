@@ -141,6 +141,15 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+
+    /// This object with `key: value` inserted first, the flattening of a
+    /// tag or index ahead of a body. Other values come back unchanged.
+    pub fn with_leading(mut self, key: &str, value: Json) -> Json {
+        if let Json::Obj(pairs) = &mut self {
+            pairs.insert(0, (key.to_string(), value));
+        }
+        self
+    }
 }
 
 impl std::ops::Index<&str> for Json {
@@ -379,7 +388,14 @@ impl std::fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
+
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so hostile nesting must fail before it overflows the
+/// stack; no file the tool writes nests past a dozen levels.
+const MAX_DEPTH: usize = 128;
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> JsonError {
@@ -425,12 +441,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -615,6 +642,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -821,71 +849,53 @@ impl FromJson for Duration {
 /// Implements [`ToJson`] + [`FromJson`] for a plain struct: an object with
 /// one key per listed field, in declaration order.
 ///
+/// A field written `field: with path` takes its JSON from the module at
+/// `path` instead: `to_json(&T) -> Json`, `from_json(&Json) ->
+/// Result<T, JsonError>`, and `from_missing(name: &str) -> Result<T,
+/// JsonError>` for an absent key. [`or_default`] is such a module.
+///
 /// ```
 /// use lazyeye_json::{impl_json_struct, FromJson, Json, ToJson};
 ///
 /// #[derive(Debug, PartialEq)]
-/// struct P { x: u32, label: Option<String> }
-/// impl_json_struct!(P { x, label });
+/// struct Tier { delay_ms: u64, label: Option<String>, fetch_us: Vec<u64> }
+/// impl_json_struct!(Tier { delay_ms, label, fetch_us: with lazyeye_json::or_default });
 ///
-/// let p = P { x: 7, label: None };
-/// let back = P::from_json(&Json::parse(&p.to_json().to_string_compact()).unwrap()).unwrap();
-/// assert_eq!(back, p);
-/// ```
-///
-/// A field written `field: with path` takes its JSON from the module at
-/// `path` instead of its type's own impls. The module supplies
-/// `to_json(&T) -> Json`, `from_json(&Json) -> Result<T, JsonError>` and
-/// `from_missing(name: &str) -> Result<T, JsonError>`, the last called
-/// when the key is absent. [`or_default`] is such a module:
-///
-/// ```
-/// use lazyeye_json::{impl_json_struct, FromJson, Json};
-///
-/// #[derive(Debug, PartialEq)]
-/// struct Tier { delay_ms: u64, fetch_us: Vec<u64> }
-/// impl_json_struct!(Tier { delay_ms, fetch_us: with lazyeye_json::or_default });
-///
-/// // Files written before `fetch_us` existed still load.
-/// let old = Json::parse(r#"{"delay_ms": 250}"#).unwrap();
-/// let tier = Tier::from_json(&old).unwrap();
-/// assert_eq!(tier, Tier { delay_ms: 250, fetch_us: vec![] });
+/// let tier = Tier { delay_ms: 250, label: None, fetch_us: vec![800] };
+/// assert_eq!(Tier::from_json(&tier.to_json()).unwrap(), tier);
+/// // Absent keys: `None` for an `Option`, the default through `or_default`.
+/// let old = Tier::from_json(&Json::parse(r#"{"delay_ms": 250}"#).unwrap()).unwrap();
+/// assert_eq!(old, Tier { delay_ms: 250, label: None, fetch_us: vec![] });
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    (@to $value:expr ;) => {
-        $crate::ToJson::to_json($value)
+    (@codec $trait:ident $f:ident $with_f:ident) => {
+        $crate::$trait::$f
     };
-    (@to $value:expr ; $($with:ident)::+) => {
-        $($with)::+::to_json($value)
+    (@codec $trait:ident $f:ident $with_f:ident $($with:ident)::+) => {
+        $($with)::+::$with_f
     };
-    (@from $v:ident $owner:expr, $field:ident ;) => {
-        $crate::field(
-            $v,
-            $owner,
-            stringify!($field),
-            $crate::FromJson::from_json,
-            $crate::FromJson::from_missing_field,
-        )?
-    };
-    (@from $v:ident $owner:expr, $field:ident ; $($with:ident)::+) => {
-        $crate::field(
-            $v,
-            $owner,
-            stringify!($field),
-            $($with)::+::from_json,
-            $($with)::+::from_missing,
-        )?
+    (@from $v:ident $owner:expr, $field:ident $(: $($with:ident)::+)?) => {
+        match $v.get(stringify!($field)) {
+            ::std::option::Option::Some(value) => $crate::impl_json_struct!(
+                @codec FromJson from_json from_json $($($with)::+)?
+            )(value)
+            .map_err(|e| $crate::JsonError::new(format!("{}.{}: {e}", $owner, stringify!($field)))),
+            ::std::option::Option::None => $crate::impl_json_struct!(
+                @codec FromJson from_missing_field from_missing $($($with)::+)?
+            )(stringify!($field))
+            .map_err(|e| $crate::JsonError::new(format!("{}: {e}", $owner))),
+        }?
     };
     ($name:ident { $($field:ident $(: with $($with:ident)::+)?),+ $(,)? }) => {
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Json {
-                $crate::Json::obj(vec![
-                    $((
-                        stringify!($field),
-                        $crate::impl_json_struct!(@to &self.$field ; $($($with)::+)?),
-                    ),)+
-                ])
+                $crate::Json::obj(vec![$((
+                    stringify!($field),
+                    $crate::impl_json_struct!(@codec ToJson to_json to_json $($($with)::+)?)(
+                        &self.$field
+                    ),
+                ),)+])
             }
         }
 
@@ -893,7 +903,7 @@ macro_rules! impl_json_struct {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<$name, $crate::JsonError> {
                 ::std::result::Result::Ok($name {
                     $($field: $crate::impl_json_struct!(
-                        @from v stringify!($name), $field ; $($($with)::+)?
+                        @from v stringify!($name), $field $(: $($with)::+)?
                     ),)+
                 })
             }
@@ -902,14 +912,10 @@ macro_rules! impl_json_struct {
 }
 
 /// Implements [`ToJson`] + [`FromJson`] for an enum tagged by one key:
-/// each variant is an object whose `key` holds the variant's tag.
-///
-/// A variant takes one of three forms:
-/// - `Variant = "tag" (Payload)`: a newtype variant whose payload
-///   serialises to an object, flattened after the tag;
-/// - `Variant = "tag" { a, b }`: a struct variant, one key per listed
-///   field, in order;
-/// - `Variant = "tag"`: a unit variant, the tag alone.
+/// each variant is an object whose `key` holds the variant's tag, then
+/// - `Variant = "tag" (Payload)`: the payload's object, flattened;
+/// - `Variant = "tag" { a, b }`: one key per listed field, in order;
+/// - `Variant = "tag"`: nothing more.
 ///
 /// ```
 /// use lazyeye_json::{impl_json_struct, impl_json_tagged, FromJson, Json, ToJson};
@@ -941,46 +947,33 @@ macro_rules! impl_json_tagged {
     (@pat $name:ident $variant:ident $p:ident $({ $($field:ident),* })?) => {
         $name::$variant $({ $($field),* })?
     };
-    (@to $key:literal $tag:literal $p:ident ($payload:ty)) => {{
-        let $crate::Json::Obj(body) = $crate::ToJson::to_json($p) else {
-            unreachable!("tagged payloads serialise to objects");
-        };
-        let mut pairs = vec![($key.to_string(), $crate::Json::Str($tag.to_string()))];
-        pairs.extend(body);
-        $crate::Json::Obj(pairs)
-    }};
-    (@to $key:literal $tag:literal $p:ident $({ $($field:ident),* })?) => {
-        $crate::Json::obj(vec![
-            ($key, $crate::Json::Str($tag.to_string())),
-            $($((stringify!($field), $crate::ToJson::to_json($field)),)*)?
-        ])
+    (@to $p:ident ($payload:ty)) => {
+        $crate::ToJson::to_json($p)
+    };
+    (@to $p:ident $({ $($field:ident),* })?) => {
+        $crate::Json::obj(vec![$($((stringify!($field), $crate::ToJson::to_json($field)),)*)?])
     };
     (@from $v:ident $name:ident $variant:ident ($payload:ty)) => {
         <$payload as $crate::FromJson>::from_json($v).map($name::$variant)
     };
     (@from $v:ident $name:ident $variant:ident $({ $($field:ident),* })?) => {
-        ::std::result::Result::Ok($name::$variant $({
-            $($field: $crate::field(
-                $v,
-                concat!(stringify!($name), "::", stringify!($variant)),
-                stringify!($field),
-                $crate::FromJson::from_json,
-                $crate::FromJson::from_missing_field,
-            )?,)*
-        })?)
+        ::std::result::Result::Ok($name::$variant $({$($field: $crate::impl_json_struct!(
+            @from $v concat!(stringify!($name), "::", stringify!($variant)), $field
+        ),)*})?)
     };
     ($name:ident, $key:literal {
         $($variant:ident = $tag:literal $(($payload:ty))? $({ $($field:ident),* $(,)? })?),+ $(,)?
     }) => {
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Json {
-                match self {
+                let (tag, body) = match self {
                     $($crate::impl_json_tagged!(
                         @pat $name $variant payload $(($payload))? $({ $($field),* })?
-                    ) => $crate::impl_json_tagged!(
-                        @to $key $tag payload $(($payload))? $({ $($field),* })?
-                    ),)+
-                }
+                    ) => ($tag, $crate::impl_json_tagged!(
+                        @to payload $(($payload))? $({ $($field),* })?
+                    )),)+
+                };
+                body.with_leading($key, $crate::Json::Str(tag.to_string()))
             }
         }
 
@@ -1002,26 +995,8 @@ macro_rules! impl_json_tagged {
     };
 }
 
-/// Reads struct field `name` of `owner` from object `v`: `from_json` on
-/// its value, or `from_missing` when the key is absent, with the field
-/// named in any error. The derive macros' one field reader.
-#[doc(hidden)]
-pub fn field<T>(
-    v: &Json,
-    owner: &str,
-    name: &str,
-    from_json: fn(&Json) -> Result<T, JsonError>,
-    from_missing: fn(&str) -> Result<T, JsonError>,
-) -> Result<T, JsonError> {
-    match v.get(name) {
-        Some(value) => from_json(value).map_err(|e| JsonError::new(format!("{owner}.{name}: {e}"))),
-        None => from_missing(name).map_err(|e| JsonError::new(format!("{owner}: {e}"))),
-    }
-}
-
-/// An [`impl_json_struct!`] `with` codec for a field whose absence means
-/// its default: the field's own JSON, but a missing key reads as
-/// `T::default()` instead of an error.
+/// An [`impl_json_struct!`] `with` codec: the field's own JSON, but an
+/// absent key reads as `T::default()` instead of an error.
 pub mod or_default {
     use super::{FromJson, Json, JsonError, ToJson};
 
@@ -1042,38 +1017,46 @@ pub mod or_default {
 }
 
 /// Implements [`ToJson`] + [`FromJson`] for a fieldless enum: each variant
-/// serializes as its name string.
+/// serializes as its name string, or as the tag given with
+/// `Variant = "tag"`.
 ///
 /// ```
 /// use lazyeye_json::{impl_json_unit_enum, FromJson, Json, ToJson};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum E { A, B }
-/// impl_json_unit_enum!(E { A, B });
+/// impl_json_unit_enum!(E { A, B = "b" });
 ///
 /// assert_eq!(E::A.to_json(), Json::Str("A".into()));
-/// assert_eq!(E::from_json(&Json::Str("B".into())).unwrap(), E::B);
+/// assert_eq!(E::from_json(&Json::Str("b".into())).unwrap(), E::B);
 /// ```
 #[macro_export]
 macro_rules! impl_json_unit_enum {
-    ($name:ident { $($variant:ident),+ $(,)? }) => {
+    (@tag $variant:ident) => {
+        stringify!($variant)
+    };
+    (@tag $variant:ident $tag:literal) => {
+        $tag
+    };
+    ($name:ident { $($variant:ident $(= $tag:literal)?),+ $(,)? }) => {
         impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::Json {
-                match self {
-                    $($name::$variant => $crate::Json::Str(stringify!($variant).to_string()),)+
-                }
+                let tag = match self {
+                    $($name::$variant => $crate::impl_json_unit_enum!(@tag $variant $($tag)?),)+
+                };
+                $crate::Json::Str(tag.to_string())
             }
         }
 
         impl $crate::FromJson for $name {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<$name, $crate::JsonError> {
                 match v.as_str() {
-                    $(::std::option::Option::Some(stringify!($variant)) => {
-                        ::std::result::Result::Ok($name::$variant)
-                    })+
+                    $(::std::option::Option::Some(
+                        $crate::impl_json_unit_enum!(@tag $variant $($tag)?)
+                    ) => ::std::result::Result::Ok($name::$variant),)+
                     _ => ::std::result::Result::Err($crate::JsonError::new(format!(
                         "expected one of {:?} for {}, got {}",
-                        [$(stringify!($variant)),+],
+                        [$($crate::impl_json_unit_enum!(@tag $variant $($tag)?)),+],
                         stringify!($name),
                         v
                     ))),
@@ -1138,6 +1121,10 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\u{01}\"").is_err());
         assert!(Json::parse("1e999").is_err());
+        let deep = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&deep(1_000_000)).is_err());
         assert!(Json::parse(&"9".repeat(400)).is_err());
     }
 

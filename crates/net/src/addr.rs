@@ -2,8 +2,6 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use lazyeye_json::{FromJson, Json, JsonError, ToJson};
-
 /// IP address family — the axis Happy Eyeballs races along.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Family {
@@ -13,21 +11,8 @@ pub enum Family {
     V6,
 }
 
-/// The one JSON spelling of a family: `"v6"` / `"v4"`.
-impl ToJson for Family {
-    fn to_json(&self) -> Json {
-        Json::Str(self.json_tag().to_string())
-    }
-}
-
-impl FromJson for Family {
-    fn from_json(v: &Json) -> Result<Family, JsonError> {
-        [Family::V6, Family::V4]
-            .into_iter()
-            .find(|f| v.as_str() == Some(f.json_tag()))
-            .ok_or_else(|| JsonError::new(format!("expected v6|v4, got {v}")))
-    }
-}
+// The one JSON spelling of a family.
+lazyeye_json::impl_json_unit_enum!(Family { V4 = "v4", V6 = "v6" });
 
 impl Family {
     /// Family of an address.
@@ -43,13 +28,6 @@ impl Family {
         match self {
             Family::V4 => Family::V6,
             Family::V6 => Family::V4,
-        }
-    }
-
-    fn json_tag(self) -> &'static str {
-        match self {
-            Family::V4 => "v4",
-            Family::V6 => "v6",
         }
     }
 
@@ -69,17 +47,15 @@ impl std::fmt::Display for Family {
 }
 
 /// The family strip: one character per cell, `6` for IPv6 and `4` for
-/// IPv4, plus `x` for a cell with no family (a failed run or fetch).
-/// Partials store selection orders and web-tool tiers this way, traces
-/// store candidate orders this way, and the CLI prints sweeps this way.
-///
-/// The module is also an `impl_json_struct!` `with` codec for a field
-/// holding a `Vec` of cells: the strip as one JSON string.
+/// IPv4, plus `x` for a cell with no family. Partials store selection
+/// orders and web-tool tiers this way, traces store candidate orders,
+/// and the CLI prints sweeps. As an `impl_json_struct!` `with` codec, a
+/// `Vec` of cells is one JSON string.
 pub mod strip {
     use super::Family;
     use lazyeye_json::{Json, JsonError};
 
-    /// One strip character.
+    /// One strip character: a [`Family`], or an `Option<Family>`.
     pub trait Cell: Copy {
         /// The cell's character.
         fn to_char(self) -> char;
@@ -108,27 +84,15 @@ pub mod strip {
         }
 
         fn from_char(c: char) -> Option<Option<Family>> {
-            match c {
-                'x' => Some(None),
-                c => Family::from_char(c).map(Some),
-            }
+            (c == 'x')
+                .then_some(None)
+                .or_else(|| Family::from_char(c).map(Some))
         }
     }
 
     /// Renders `cells` as a strip.
     pub fn render<C: Cell>(cells: &[C]) -> String {
         cells.iter().map(|c| c.to_char()).collect()
-    }
-
-    /// Parses a strip.
-    pub fn parse<C: Cell>(strip: &str) -> Result<Vec<C>, JsonError> {
-        strip
-            .chars()
-            .map(|c| {
-                C::from_char(c)
-                    .ok_or_else(|| JsonError::new(format!("family strip: unexpected {c:?}")))
-            })
-            .collect()
     }
 
     /// The strip as a JSON string.
@@ -138,10 +102,13 @@ pub mod strip {
 
     /// Parses a strip from a JSON string.
     pub fn from_json<C: Cell>(v: &Json) -> Result<Vec<C>, JsonError> {
-        parse(
-            v.as_str()
-                .ok_or_else(|| JsonError::new(format!("family strip: expected string, got {v}")))?,
-        )
+        let strip = v
+            .as_str()
+            .ok_or_else(|| JsonError::new(format!("expected strip, got {v}")))?;
+        strip
+            .chars()
+            .map(|c| C::from_char(c).ok_or_else(|| JsonError::new(format!("strip cell {c:?}"))))
+            .collect()
     }
 
     /// An absent strip is an error.
@@ -252,14 +219,16 @@ mod tests {
 
     #[test]
     fn family_json_and_strip() {
+        use lazyeye_json::{FromJson, Json, ToJson};
         assert_eq!(Family::V6.to_json(), Json::Str("v6".into()));
         assert_eq!(Family::from_json(&Json::Str("v4".into())), Ok(Family::V4));
         assert!(Family::from_json(&Json::Str("V6".into())).is_err());
         let cells = [Some(Family::V6), None, Some(Family::V4)];
         assert_eq!(strip::render(&cells), "6x4");
-        assert_eq!(strip::parse::<Option<Family>>("6x4").unwrap(), cells);
+        let parsed: Vec<Option<Family>> = strip::from_json(&Json::Str("6x4".into())).unwrap();
+        assert_eq!(parsed, cells);
         assert_eq!(strip::render(&[Family::V4, Family::V6]), "46");
-        assert!(strip::parse::<Family>("6x").is_err());
+        assert!(strip::from_json::<Family>(&Json::Str("6x".into())).is_err());
         assert!(strip::from_json::<Family>(&Json::Null).is_err());
     }
 

@@ -56,15 +56,6 @@ impl SweepSpec {
         Some(SweepSpec::new(start, first_v4 - 1, step_ms))
     }
 
-    /// Number of delay values, counted without materialising them.
-    pub fn count(&self) -> u64 {
-        match self.step_ms {
-            0 => 1,
-            _ if self.end_ms < self.start_ms => 0,
-            step => (self.end_ms - self.start_ms) / step + 1,
-        }
-    }
-
     /// Materialises the delay values. A zero step (possible only via
     /// deserialized configs, [`SweepSpec::new`] rejects it) yields just the
     /// start value instead of looping forever.
@@ -266,22 +257,25 @@ impl TestbedConfig {
     /// a run can number, and at most [`lazyeye_exec::MAX_PLANNED_ITEMS`]
     /// runs in all, counted from the sweep sizes before any is expanded.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(selection) = &self.selection {
-            selection.validate()?;
-        }
-        let sweep = |s: &SweepSpec, reps: u32| s.count().saturating_mul(reps.into());
-        let runs = [
-            self.cad.as_ref().map(|c| sweep(&c.sweep, c.repetitions)),
-            self.rd.as_ref().map(|r| sweep(&r.sweep, r.repetitions)),
-            self.selection.as_ref().map(|_| 1),
+        let selection = self.selection.as_ref();
+        selection.map_or(Ok(()), SelectionCaseConfig::validate)?;
+        // A zero step yields one value.
+        let runs = |s: &SweepSpec, reps: u32| {
+            let values = s.end_ms.saturating_sub(s.start_ms) / s.step_ms.max(1) + 1;
+            values.saturating_mul(reps.into())
+        };
+        let swept = [
+            self.cad.as_ref().map(|c| runs(&c.sweep, c.repetitions)),
+            self.rd.as_ref().map(|c| runs(&c.sweep, c.repetitions)),
             self.resolver
                 .as_ref()
-                .map(|r| sweep(&r.sweep, r.repetitions)),
-        ]
-        .into_iter()
-        .flatten()
-        .fold(0, u64::saturating_add);
-        lazyeye_exec::check_plan_budget(runs, "runs")
+                .map(|c| runs(&c.sweep, c.repetitions)),
+        ];
+        let total = swept
+            .into_iter()
+            .flatten()
+            .fold(selection.is_some().into(), u64::saturating_add);
+        lazyeye_exec::check_plan_budget(total, "runs")
     }
 
     /// Serialises to JSON.
@@ -325,13 +319,6 @@ mod tests {
     fn paper_fine_sweep_has_81_points() {
         // 0..=400 step 5 → 81 configurations, as in §5.1.
         assert_eq!(SweepSpec::paper_fine().values().len(), 81);
-        assert_eq!(SweepSpec::paper_fine().count(), 81);
-        let inverted = SweepSpec {
-            start_ms: 10,
-            end_ms: 0,
-            step_ms: 5,
-        };
-        assert_eq!(inverted.count(), inverted.values().len() as u64);
     }
 
     #[test]

@@ -399,14 +399,11 @@ lazyeye_json::impl_json_tagged!(TraceEventKind, "kind" {
 });
 
 impl ToJson for TraceEvent {
+    /// Flattened: `{"at_ns": ..., "kind": ..., <payload>}`.
     fn to_json(&self) -> Json {
-        // Flatten: {"at_ns": ..., "kind": ..., <payload>}.
-        let mut pairs = vec![("at_ns".to_string(), self.at_ns.to_json())];
-        let Json::Obj(body) = self.kind.to_json() else {
-            unreachable!("event kinds serialise to objects");
-        };
-        pairs.extend(body);
-        Json::Obj(pairs)
+        self.kind
+            .to_json()
+            .with_leading("at_ns", self.at_ns.to_json())
     }
 }
 

@@ -47,7 +47,7 @@ use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
 use lazy_eye_inspection::exec::{merge, Engine, Matrix, Partial, Report, Shard};
 use lazy_eye_inspection::fleet::{FleetMatrix, FleetReport, FleetSpec};
 use lazy_eye_inspection::infer::{
-    fmt_opt, infer_resolver_traces, infer_traces, profiles_from_json, score_profile,
+    fmt_opt, infer_resolver_traces, infer_traces, profiles_from_json, score_profile, BehaviourDiff,
     InferredResolverReport, ProfileSetDiff,
 };
 use lazy_eye_inspection::json::{FromJson, Json, ToJson};
@@ -380,23 +380,6 @@ fn render_inferred_resolvers(reports: &[InferredResolverReport]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// `infer --diff old.json new.json`: field-level behaviour deltas
-/// between two sets of inferred profiles, matched by subject.
-fn cmd_infer_diff(rest: &[String]) -> Cmd {
-    let (paths, format) = diff_args(rest, "profile")?;
-    let mut sets = Vec::new();
-    for path in paths {
-        let v = Json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-        sets.push(profiles_from_json(&v).map_err(|e| format!("{path}: {e}"))?);
-    }
-    let diff = ProfileSetDiff::new(&sets[0], &sets[1]);
-    match format {
-        Format::Json => println!("{}", ToJson::to_json(&diff).to_string_pretty()),
-        _ => print!("{}", diff.render_text()),
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses `--jobs` (default: available parallelism), rejecting 0.
@@ -823,19 +806,25 @@ fn print_budget(text: &str, format: Format) {
     }
 }
 
-/// `campaign|fleet --diff old.json new.json`: loads two reports and
-/// surfaces their behaviour changes — per cell and feature for
-/// campaigns; per member, resolver and summary for fleets (the
-/// longitudinal population-tracking view).
-fn cmd_diff<R: Report>(rest: &[String]) -> Cmd {
-    let (paths, format) = diff_args(rest, "report")?;
-    let mut reports = Vec::new();
+/// `campaign|fleet|infer --diff old.json new.json`: loads two snapshots
+/// with `parse` and prints their behaviour changes as text or JSON — per
+/// cell and feature for campaigns; per member, resolver and summary for
+/// fleets (the longitudinal population-tracking view); per subject for
+/// inferred-profile sets.
+fn cmd_diff<T, E: std::fmt::Display>(
+    rest: &[String],
+    files: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+    diff: impl Fn(&T, &T, bool) -> String,
+) -> Cmd {
+    let (paths, format) = diff_args(rest, files)?;
+    let mut snapshots = Vec::new();
     for path in paths {
-        reports.push(R::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
+        snapshots.push(parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
     }
     print!(
         "{}",
-        R::diff(&reports[0], &reports[1], format == Format::Json)
+        diff(&snapshots[0], &snapshots[1], format == Format::Json)
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -919,26 +908,13 @@ fn cmd_profile(path: &str, flags: &Flags, format: Format) -> Cmd {
         .collect();
     match format {
         Format::Json => {
-            let doc = Json::obj(vec![(
-                "traces",
-                Json::Arr(
-                    attributed
-                        .iter()
-                        .map(|(trace, attr)| {
-                            Json::obj(vec![
-                                ("meta", ToJson::to_json(&trace.meta)),
-                                (
-                                    "attribution",
-                                    match attr {
-                                        Some(a) => ToJson::to_json(a),
-                                        None => Json::Null,
-                                    },
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )]);
+            let traces = attributed.iter().map(|(trace, attr)| {
+                Json::obj(vec![
+                    ("meta", trace.meta.to_json()),
+                    ("attribution", attr.to_json()),
+                ])
+            });
+            let doc = Json::obj(vec![("traces", Json::Arr(traces.collect()))]);
             println!("{}", doc.to_string_pretty());
         }
         _ => {
@@ -1344,7 +1320,14 @@ fn run(args: &[String]) -> Cmd {
             // `--diff old.json new.json` is its own sub-mode with
             // positional profile-set paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
-                return cmd_infer_diff(rest);
+                let parse = |text: &str| {
+                    Json::parse(text)
+                        .map_err(|e| e.to_string())
+                        .and_then(|v| profiles_from_json(&v))
+                };
+                return cmd_diff(rest, "profile", parse, |old, new, json| {
+                    ProfileSetDiff::new(old, new).render(json)
+                });
             }
             let flags = parse_flags(
                 rest,
@@ -1366,7 +1349,7 @@ fn run(args: &[String]) -> Cmd {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths, like `campaign --diff`.
             if rest.first().map(String::as_str) == Some("--diff") {
-                return cmd_diff::<FleetReport>(rest);
+                return cmd_diff(rest, "report", FleetReport::parse, FleetReport::diff);
             }
             let flags = parse_flags(
                 rest,
@@ -1402,7 +1385,7 @@ fn run(args: &[String]) -> Cmd {
             // `--diff old.json new.json` is its own sub-mode with
             // positional report paths.
             if rest.first().map(String::as_str) == Some("--diff") {
-                return cmd_diff::<CampaignReport>(rest);
+                return cmd_diff(rest, "report", CampaignReport::parse, CampaignReport::diff);
             }
             let flags = parse_flags(
                 rest,

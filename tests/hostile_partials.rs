@@ -49,9 +49,14 @@ fn lazyeye(args: &[&str]) -> Output {
         .expect("lazyeye runs")
 }
 
-/// Writes `bytes` to a scratch file named after `name` and returns its
+/// Writes `text` to a scratch file named after `name` and returns its
 /// path.
-fn scratch(name: &str, bytes: impl AsRef<[u8]>) -> String {
+fn scratch(name: &str, text: &str) -> String {
+    scratch_bytes(name, text.as_bytes())
+}
+
+/// [`scratch`] for bytes that need not be UTF-8.
+fn scratch_bytes(name: &str, bytes: &[u8]) -> String {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("hostile-{}-{name}.json", std::process::id()));
     std::fs::write(&path, bytes).expect("scratch file is writable");
@@ -452,7 +457,7 @@ fn truncated_and_mutated_partials_load_or_fail_cleanly() {
     ] {
         let campaign = name.starts_with("campaign");
         assert_never_panics(name, &read(name), |variant| {
-            let path = scratch(&format!("mutated-{name}"), variant);
+            let path = scratch_bytes(&format!("mutated-{name}"), variant);
             // A partial that loads must also re-serialise.
             let _ = if campaign {
                 Checkpoint::load(&path).map(|p| p.to_json_string())
@@ -474,6 +479,10 @@ fn truncated_and_mutated_traces_parse_or_fail_cleanly() {
     let mut set = TraceSet::default();
     set.push(trace.expect("traced"));
     let text = set.to_json_string();
+    // Nesting past the parser's depth limit is an error, not a stack
+    // overflow.
+    let deep = format!("{}{}", "[".repeat(1_000_000), "]".repeat(1_000_000));
+    assert!(TraceSet::from_json_str(&deep).is_err());
     assert_never_panics("trace set", &text, |variant| {
         // A trace set that parses must also re-emit.
         if let Ok(parsed) = TraceSet::from_json_str(&String::from_utf8_lossy(variant)) {
