@@ -2,8 +2,9 @@
 //! connection at each configured IPv6 delay, for all 17 local-testbed
 //! clients (plus Safari, which the paper omits from the figure for scale).
 
-use lazyeye_bench::{emit, fast_mode, fresh, strip};
+use lazyeye_bench::{emit, fast_mode, fresh};
 use lazyeye_clients::{figure2_clients, safari_clients};
+use lazyeye_net::strip;
 use lazyeye_testbed::{run_cad_case, summarize_cad, CadCaseConfig, SweepSpec, Table};
 
 fn main() {
@@ -45,7 +46,7 @@ fn main() {
         let cells: Vec<Option<lazyeye_net::Family>> = samples.iter().map(|s| s.family).collect();
         emit(
             "fig2",
-            &format!("{:>28}  {}", profile.figure2_label(), strip(&cells)),
+            &format!("{:>28}  {}", profile.figure2_label(), strip::render(&cells)),
         );
         let s = summarize_cad(&samples);
         summary.row(vec![

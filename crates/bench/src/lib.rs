@@ -60,12 +60,6 @@ pub fn fresh(name: &str) {
     let _ = std::fs::write(&path, b"");
 }
 
-/// Renders a Figure 2-style strip: one character per sweep point
-/// (`6` = IPv6, `4` = IPv4, `x` = failed).
-pub fn strip(cells: &[Option<lazyeye_net::Family>]) -> String {
-    lazyeye_net::strip::render(cells)
-}
-
 /// `fast mode` reduces sweep resolution for quick runs
 /// (`LAZYEYE_FAST=1`).
 pub fn fast_mode() -> bool {

@@ -22,8 +22,9 @@
 //!   shared by both engines. [`MAX_PLANNED_ITEMS`] bounds every plan.
 //!
 //! The engines keep their domain glue (plans, later-pass rule, run
-//! context, output codec, report fold, diff and profile); everything
-//! scheduling- and resumption-related lives here.
+//! context, report fold, diff and profile, and an output type that
+//! carries its own JSON); everything scheduling- and resumption-related
+//! lives here.
 
 //! **Arena reuse.** Worker threads live for the whole `execute_indexed`
 //! call, and the simulator keeps a per-thread `lazyeye_sim::SimPool`:
