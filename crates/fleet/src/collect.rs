@@ -11,6 +11,7 @@
 //! whatever the worker count), so every downstream rendering is
 //! byte-identical across `--jobs` and shard/merge.
 
+use lazyeye_net::strip::Cell;
 use lazyeye_net::Family;
 use lazyeye_webtool::WebSessionResult;
 
@@ -52,15 +53,14 @@ impl TierCell {
         }
     }
 
-    /// The Figure-4 grid character of this cell: `6`/`4` for clean
-    /// tiers, `m` for mixed outcomes, `x` for all-failed, `.` for no
-    /// data.
+    /// The Figure-4 grid character of this cell: a clean tier's family
+    /// strip character (`6`/`4`, or `x` when every fetch failed), `m` for
+    /// mixed outcomes, `.` for no data.
     pub fn grid_char(&self) -> char {
         match (self.v6, self.v4, self.failed) {
             (0, 0, 0) => '.',
-            (0, 0, _) => 'x',
-            (_, 0, _) if self.v6 > 0 => '6',
-            (0, _, _) if self.v4 > 0 => '4',
+            (v6, 0, _) => (v6 > 0).then_some(Family::V6).to_char(),
+            (0, _, _) => Family::V4.to_char(),
             _ => 'm',
         }
     }
