@@ -100,7 +100,7 @@ lazyeye_json::impl_json_struct!(SelectionPlan {
 
 impl SelectionPlan {
     /// The testbed case one run of this plan executes.
-    pub fn case_config(&self) -> SelectionCaseConfig {
+    pub(crate) fn case_config(&self) -> SelectionCaseConfig {
         SelectionCaseConfig {
             v6_addresses: self.v6_addresses,
             v4_addresses: self.v4_addresses,

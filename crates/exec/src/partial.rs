@@ -272,7 +272,7 @@ impl<M: Matrix> Partial<M> {
             ("version", VERSION.to_json()),
             ("spec", self.spec.to_json()),
             (M::COUNT_KEY, self.planned.to_json()),
-            ("shard", self.shard.as_ref().map(ToJson::to_json).to_json()),
+            ("shard", self.shard.to_json()),
             ("outputs", Json::Arr(outputs)),
         ])
         .write_pretty_into(out);

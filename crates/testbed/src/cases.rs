@@ -245,18 +245,18 @@ lazyeye_json::impl_json_struct!(TestbedConfig {
 });
 
 impl TestbedConfig {
-    /// Loads a config from JSON and checks it (see
-    /// [`TestbedConfig::validate`]).
+    /// Loads a config from JSON and checks it before anything runs:
+    /// selection address counts a run can number, and at most
+    /// [`lazyeye_exec::MAX_PLANNED_ITEMS`] runs in all.
     pub fn from_json(s: &str) -> Result<TestbedConfig, JsonError> {
         let cfg: TestbedConfig = FromJson::from_json(&Json::parse(s)?)?;
         cfg.validate().map_err(JsonError::new)?;
         Ok(cfg)
     }
 
-    /// Checks the config before anything runs: selection address counts
-    /// a run can number, and at most [`lazyeye_exec::MAX_PLANNED_ITEMS`]
-    /// runs in all, counted from the sweep sizes before any is expanded.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The checks of [`TestbedConfig::from_json`]; runs are counted from
+    /// the sweep sizes, before any sweep is expanded.
+    fn validate(&self) -> Result<(), String> {
         let selection = self.selection.as_ref();
         selection.map_or(Ok(()), SelectionCaseConfig::validate)?;
         // A zero step yields one value.
