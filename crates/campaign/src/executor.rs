@@ -16,8 +16,8 @@ use lazyeye_exec::execute_indexed_with;
 use lazyeye_net::NetemRule;
 use lazyeye_resolver::ResolverProfile;
 use lazyeye_testbed::{
-    delayed_record_label, run_cad, run_rd, run_resolver, run_selection, CadFastPath, CadSample,
-    DelayedRecord, RdFastPath, RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
+    run_cad, run_rd, run_resolver, run_selection, CadFastPath, CadSample, DelayedRecord,
+    RdFastPath, RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
 };
 use lazyeye_trace::Trace;
 
@@ -25,12 +25,10 @@ use crate::plan::{resolve_clients, resolve_resolvers, RunKind, RunSpec, SpecErro
 use crate::spec::{CampaignSpec, SelectionPlan};
 
 /// Registry handles for campaign-level metrics. Run counts are a pure
-/// function of `(spec, seed)` and live on the virtual clock; the per-run
-/// latency histogram is host timing and stays on the wall clock.
+/// function of `(spec, seed)` and live on the virtual clock.
 struct CampaignMetrics {
     runs: &'static lazyeye_obs::Counter,
     runs_refined: &'static lazyeye_obs::Counter,
-    run_wall_us: &'static lazyeye_obs::Histogram,
 }
 
 fn metrics() -> &'static CampaignMetrics {
@@ -38,7 +36,6 @@ fn metrics() -> &'static CampaignMetrics {
     METRICS.get_or_init(|| CampaignMetrics {
         runs: lazyeye_obs::counter("campaign.runs", lazyeye_obs::Clock::Virtual),
         runs_refined: lazyeye_obs::counter("campaign.runs_refined", lazyeye_obs::Clock::Virtual),
-        run_wall_us: lazyeye_obs::histogram("campaign.run_wall_us", lazyeye_obs::Clock::Wall),
     })
 }
 
@@ -121,14 +118,13 @@ struct FastCache {
 
 impl FastCache {
     /// Calibrates a model per baseline CAD/RD cell of the expanded plan,
-    /// in plan order (the order of each cell's first run), verifying each
-    /// against the real first-pass runs at the sweep endpoints (rep 0,
-    /// the runs' own seeds). A cell whose model fails verification simply
-    /// stays out of the cache and simulates normally.
+    /// verifying each against the real first-pass runs at the sweep
+    /// endpoints (rep 0, the runs' own seeds). A cell whose model fails
+    /// verification simply stays out of the cache and simulates normally.
     fn build(ctx: &RunContext, spec: &CampaignSpec, runs: &[RunSpec]) -> FastCache {
         // (delay -> seed) per cell, baseline netem and rep 0 only.
-        let mut order = Vec::new();
-        let mut cells: HashMap<(&str, Option<DelayedRecord>), BTreeMap<u64, u64>> = HashMap::new();
+        let mut cells: BTreeMap<(&str, Option<DelayedRecord>), BTreeMap<u64, u64>> =
+            BTreeMap::new();
         for run in runs {
             let c = run.kind.coords();
             if !matches!(c.case, "cad" | "rd") || c.rep != 0 || !ctx.netem(c.netem).is_empty() {
@@ -136,15 +132,11 @@ impl FastCache {
             }
             cells
                 .entry((c.subject, c.record))
-                .or_insert_with(|| {
-                    order.push((c.subject, c.record));
-                    BTreeMap::new()
-                })
+                .or_default()
                 .insert(c.delay_ms, run.seed);
         }
         let mut fast = FastCache::default();
-        for (client, record) in order {
-            let cell = &cells[&(client, record)];
+        for ((client, record), cell) in cells {
             let mut endpoints: Vec<(u64, u64)> = cell
                 .first_key_value()
                 .into_iter()
@@ -152,12 +144,6 @@ impl FastCache {
                 .map(|(d, s)| (*d, *s))
                 .collect();
             endpoints.dedup();
-            let case = record.map_or("cad", delayed_record_label);
-            lazyeye_obs::recorder::record(
-                lazyeye_obs::Clock::Virtual,
-                "fastpath.calibrate",
-                format!("{client} {case}"),
-            );
             let profile = ctx.client(client);
             let model = match record {
                 None => CadFastPath::calibrate(profile, spec.seed, &endpoints).map(FastModel::Cad),
@@ -339,13 +325,11 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
         m.runs_refined.inc();
     }
     lazyeye_obs::progress::annotate(|| run_label(run));
-    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "campaign.run", run_label(run));
     let _span = if lazyeye_obs::trace::enabled() {
         lazyeye_obs::trace::wall_span(run_label(run))
     } else {
         None
     };
-    let started = std::time::Instant::now();
     // A fast-path refusal falls back to full simulation, then feeds the
     // fastpath-fallback trigger.
     let (out, refusal) = match ctx.fast.run(ctx, &run.kind) {
@@ -355,8 +339,6 @@ fn run_one_inner(ctx: &RunContext, run: &RunSpec) -> RunOutput {
     if let Some(reason) = refusal {
         crate::forensics::on_fastpath_fallback(ctx, run, reason);
     }
-    m.run_wall_us
-        .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     out
 }
 

@@ -1,9 +1,9 @@
 //! Anomaly forensics: the campaign-side payloads of the flight
 //! recorder's [trigger engine](lazyeye_obs::trigger).
 //!
-//! The obs crate owns the mechanism (ring buffer, trigger dedup, bundle
-//! schema); this module owns the *meaning*: what full provenance looks
-//! like for a campaign run ([`RunProvenance`]), how to turn provenance
+//! The obs crate owns the mechanism (trigger dedup, bundle schema);
+//! this module owns the *meaning*: what full provenance looks like for a
+//! campaign run ([`RunProvenance`]), how to turn provenance
 //! back into a run ([`RunProvenance::to_run`]) and re-execute it with
 //! tracing on ([`capture_trace`]), and the per-anomaly hooks the
 //! executor, refinement planner and inference pass call. Every bundle's

@@ -8,11 +8,13 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use lazyeye_campaign::forensics::{capture_trace, provenance};
 use lazyeye_campaign::plan::{RunKind, RunSpec};
 use lazyeye_campaign::{
     build_report_with, expand, replay, run_one, CampaignOptions, CampaignSpec, Checkpoint,
     RunContext, RunOutput,
 };
+use lazyeye_json::{Json, ToJson};
 use lazyeye_net::Family;
 use lazyeye_obs::bundle::Bundle;
 use lazyeye_obs::trigger;
@@ -199,4 +201,52 @@ fn campaign_triggers_fire_and_replay() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bundles archived before the wall section was dropped carry a
+/// top-level `wall` key (a ring snapshot and a metrics exposition).
+/// Such a bundle parses to the same bundle and replays identically.
+#[test]
+fn archived_bundle_with_wall_section_replays() {
+    let spec = cad_spec();
+    let runs = expand(&spec).unwrap();
+    let ctx = RunContext::new_with(&spec, &runs, false).unwrap();
+    let run = &runs[runs.len() / 2];
+    let bundle = Bundle::new(
+        "deviates",
+        "archived",
+        "detail",
+        provenance(&spec, run).to_json(),
+        capture_trace(&ctx, run).to_json(),
+    );
+    let mut doc = bundle.to_json();
+    let Json::Obj(fields) = &mut doc else {
+        panic!("a bundle is a JSON object");
+    };
+    let event = Json::obj(vec![
+        ("seq", Json::UInt(0)),
+        ("clock", Json::Str("virtual".into())),
+        ("at_us", Json::UInt(1_700_000_000_000_000)),
+        ("name", Json::Str("campaign.run".into())),
+        (
+            "detail",
+            Json::Str("cad chrome-130.0 delay=40ms rep=0".into()),
+        ),
+    ]);
+    fields.push((
+        "wall".into(),
+        Json::obj(vec![
+            ("ring", Json::Arr(vec![event])),
+            (
+                "metrics",
+                Json::Str("lazyeye_campaign_runs{clock=\"virtual\"} 1\n".into()),
+            ),
+        ]),
+    ));
+    let archived = Bundle::from_json_str(&doc.to_string_pretty()).unwrap();
+    assert_eq!(archived, bundle);
+    let report = replay(&archived).unwrap();
+    assert!(report.identical, "{:?}", report.divergence);
+    assert!(report.recorded_events > 0);
+    assert_eq!(report, replay(&bundle).unwrap());
 }

@@ -64,8 +64,7 @@ pub enum Refusal {
 }
 
 impl Refusal {
-    /// Stable label used for metrics (`fastpath.fallbacks{reason=..}`)
-    /// and flight-recorder events.
+    /// Stable label used for metrics (`fastpath.fallbacks{reason=..}`).
     pub fn label(self) -> &'static str {
         match self {
             Refusal::Tie => "tie",
@@ -108,23 +107,6 @@ struct InFlight {
 /// per-run reset), so dynamic-CAD profiles take their deterministic
 /// no-history value exactly as they do under full simulation.
 pub fn drive(
-    cfg: &HeConfig,
-    qtypes: Vec<lazyeye_dns::RrType>,
-    start: SimTime,
-    timeline: &Timeline,
-) -> Result<FastRun, Refusal> {
-    let result = drive_inner(cfg, qtypes, start, timeline);
-    if let Err(refusal) = &result {
-        lazyeye_obs::recorder::record(
-            lazyeye_obs::Clock::Virtual,
-            "core.fastpath.refusal",
-            refusal.label(),
-        );
-    }
-    result
-}
-
-fn drive_inner(
     cfg: &HeConfig,
     qtypes: Vec<lazyeye_dns::RrType>,
     start: SimTime,

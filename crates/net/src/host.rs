@@ -2,7 +2,6 @@
 
 use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
-use std::time::Duration;
 
 use crate::addr::Family;
 use crate::error::NetError;
@@ -41,11 +40,6 @@ impl Network {
         Network {
             world: Rc::new(std::cell::RefCell::new(World::new())),
         }
-    }
-
-    /// Sets the base one-way propagation delay applied to every packet.
-    pub fn set_base_delay(&self, d: Duration) {
-        self.world.borrow_mut().base_delay = d;
     }
 
     /// Starts building a host.
@@ -133,19 +127,6 @@ impl Host {
         self.addrs().into_iter().find(|a| Family::of(*a) == family)
     }
 
-    /// All addresses of the given family.
-    pub fn addrs_of(&self, family: Family) -> Vec<IpAddr> {
-        self.addrs()
-            .into_iter()
-            .filter(|a| Family::of(*a) == family)
-            .collect()
-    }
-
-    /// Assigns an additional address at runtime.
-    pub fn add_addr(&self, a: IpAddr) {
-        self.world.borrow_mut().assign_addr(self.idx, a);
-    }
-
     /// Appends an egress shaping rule (`tc qdisc add ... netem` on this
     /// host's uplink). First matching rule wins.
     pub fn add_egress(&self, rule: NetemRule) {
@@ -174,13 +155,6 @@ impl Host {
     /// the address-selection experiment).
     pub fn blackhole(&self, a: IpAddr) {
         self.world.borrow_mut().hosts[self.idx].blackholes.insert(a);
-    }
-
-    /// Removes a blackhole marking.
-    pub fn unblackhole(&self, a: IpAddr) {
-        self.world.borrow_mut().hosts[self.idx]
-            .blackholes
-            .remove(&a);
     }
 
     /// Enables/disables packet capture on this host (on by default).

@@ -98,13 +98,6 @@ impl Capture {
         v4.checked_duration_since(v6)
     }
 
-    /// Transmitted UDP payloads with timestamps (for DNS analysis).
-    pub fn udp_tx(&self) -> impl Iterator<Item = &PacketRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.dir == Direction::Tx && r.proto == Proto::Udp)
-    }
-
     /// Received UDP payloads with timestamps.
     pub fn udp_rx(&self) -> impl Iterator<Item = &PacketRecord> {
         self.records

@@ -138,12 +138,6 @@ impl UdpSocket {
     pub async fn recv_from(&self) -> Result<(Bytes, SocketAddr), NetError> {
         RecvFut { sock: self }.await
     }
-
-    /// Non-blocking receive.
-    pub fn try_recv_from(&self) -> Option<(Bytes, SocketAddr)> {
-        let mut s = self.state.borrow_mut();
-        s.queue.pop_front().map(|(a, b)| (b, a))
-    }
 }
 
 impl Drop for UdpSocket {

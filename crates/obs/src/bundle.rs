@@ -1,15 +1,13 @@
 //! Black-box bundles: the self-contained JSON artifact a
 //! [trigger](crate::trigger) writes when an anomaly fires.
 //!
-//! A bundle splits cleanly along the [`Clock`](crate::Clock) domains:
-//!
-//! * the **virtual** section — trigger identity, full run provenance
-//!   and the captured trace — is a pure function of (spec, seed), so
-//!   its bytes are pinned across `--jobs` and are what
-//!   `lazyeye replay` regenerates and diffs;
-//! * the **wall** section — a flight-recorder ring snapshot and a
-//!   metrics-registry exposition — describes the host execution at
-//!   capture time and is excluded from all byte pinning.
+//! A bundle holds its schema version and one **virtual** section —
+//! trigger identity, full run provenance and the captured trace. The
+//! section is a pure function of (spec, seed), so a bundle file's bytes
+//! are the same whatever `--jobs` is, and the trace is what
+//! `lazyeye replay` regenerates and diffs. Older bundles also carried a
+//! host-time `wall` section; the parser accepts and ignores it, so
+//! archived bundles still replay.
 //!
 //! This crate stays payload-agnostic (provenance and trace are opaque
 //! [`Json`] values) so it can sit below `core`/`testbed` in the crate
@@ -34,15 +32,10 @@ pub struct Bundle {
     /// The captured trace (`Json::Null` when capture is impossible,
     /// e.g. for a run-panic bundle).
     pub trace: Json,
-    /// Host-side context: ring snapshot and metrics exposition. Not
-    /// part of the pinned bytes; attached by the trigger engine at
-    /// write time.
-    pub wall: Json,
 }
 
 impl Bundle {
-    /// Builds a bundle with an empty wall section (the trigger engine
-    /// fills it in when the bundle is written).
+    /// Builds a bundle.
     pub fn new(
         kind: impl Into<String>,
         key: impl Into<String>,
@@ -56,7 +49,6 @@ impl Bundle {
             detail: detail.into(),
             provenance,
             trace,
-            wall: Json::Null,
         }
     }
 
@@ -77,8 +69,7 @@ impl Bundle {
         ])
     }
 
-    /// Pretty-printed virtual section plus trailing newline — the bytes
-    /// CI pins identical across `--jobs 1/4/8`.
+    /// Pretty-printed virtual section plus trailing newline.
     pub fn virtual_json_string(&self) -> String {
         let mut out = self.virtual_json().to_string_pretty();
         out.push('\n');
@@ -90,7 +81,6 @@ impl Bundle {
         Json::obj(vec![
             ("version", Json::UInt(BUNDLE_VERSION)),
             ("virtual", self.virtual_json()),
-            ("wall", self.wall.clone()),
         ])
     }
 
@@ -102,6 +92,7 @@ impl Bundle {
     }
 
     /// Parses a bundle document written by [`Bundle::to_json_string`].
+    /// A top-level `wall` key, as older bundles carry, is ignored.
     pub fn from_json_str(s: &str) -> Result<Bundle, JsonError> {
         let doc = Json::parse(s)?;
         let version = doc
@@ -132,7 +123,6 @@ impl Bundle {
             detail: field("detail")?,
             provenance: virt.get("provenance").cloned().unwrap_or(Json::Null),
             trace: virt.get("trace").cloned().unwrap_or(Json::Null),
-            wall: doc.get("wall").cloned().unwrap_or(Json::Null),
         })
     }
 
@@ -153,15 +143,13 @@ mod tests {
     use super::*;
 
     fn sample() -> Bundle {
-        let mut b = Bundle::new(
+        Bundle::new(
             "fastpath-fallback",
             "cad:chrome-130.0:baseline:d300:r1",
             "tie",
             Json::obj(vec![("seed", Json::Int(7))]),
             Json::obj(vec![("events", Json::Arr(vec![]))]),
-        );
-        b.wall = Json::obj(vec![("ring", Json::Arr(vec![]))]);
-        b
+        )
     }
 
     #[test]
@@ -174,12 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn virtual_section_excludes_wall_context() {
-        let b = sample();
-        let virt = b.virtual_json_string();
-        assert!(!virt.contains("ring"));
-        assert!(virt.contains("\"kind\""));
-        assert!(virt.contains("\"provenance\""));
+    fn bundle_holds_only_version_and_virtual_section() {
+        let doc = sample().to_json();
+        let keys: Vec<&str> = match &doc {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("bundle is not an object: {other:?}"),
+        };
+        assert_eq!(keys, ["version", "virtual"]);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   per-thread buffers, exported as Chrome trace-event JSON by
 //!   [`timeline`];
 //! * live [`progress`] state for the CLI's `--progress` reporter;
-//! * a flight [`recorder`] — an always-on bounded ring of structured
-//!   events — plus a [`trigger`] engine that snapshots it (with full
-//!   run provenance) into self-contained black-box [`bundle`]s on
+//! * a [`trigger`] engine that, when armed, writes self-contained
+//!   black-box [`bundle`]s (trigger, full run provenance, trace) on
 //!   anomalies, for `lazyeye replay` forensics;
 //! * a [`profile`] collapsed-stack [`profile::FlameGraph`] builder —
 //!   the deterministic export surface of the causal latency profiler.
@@ -30,7 +29,6 @@
 pub mod bundle;
 pub mod profile;
 pub mod progress;
-pub mod recorder;
 pub mod registry;
 pub mod timeline;
 pub mod trace;

@@ -5,22 +5,21 @@
 //! fallback, inference misfit, `DEVIATES(..)` verdict, refinement
 //! bracket, run panic). When the engine is [armed](arm) with an output
 //! directory (`--flight-record <dir>`), the first fire per
-//! `(kind, key)` builds its bundle, attaches the wall context (flight
-//! recorder ring snapshot + metrics exposition) and writes it to
+//! `(kind, key)` builds its bundle and writes it to
 //! `<dir>/<kind>-<key>.json`. Unarmed, `fire` returns immediately
 //! without invoking the bundle builder, so campaigns pay nothing for
-//! the instrumentation by default.
+//! the instrumentation by default. A write that fails is reported on
+//! stderr and counted ([`write_failures`]); it never stops the run.
 //!
 //! Keys embed the full cell provenance (case, subject, condition,
-//! delay, rep), so the *set* of bundles written is a deterministic
+//! delay, rep), and a bundle holds only its deterministic virtual
+//! section, so the set of bundles written and every file's bytes are a
 //! function of (spec, seed) — never of worker scheduling.
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-
-use lazyeye_json::Json;
 
 use crate::bundle::Bundle;
 use crate::Clock;
@@ -112,9 +111,15 @@ pub fn bundles_written() -> u64 {
     crate::counter("flightrec.bundles", Clock::Virtual).get()
 }
 
+/// Number of bundle writes that failed since process start (wall
+/// domain: whether a write fails depends on the host, not the run).
+pub fn write_failures() -> u64 {
+    crate::counter("flightrec.write_failures", Clock::Wall).get()
+}
+
 /// Fires a trigger. Returns the bundle path if one was written; `None`
-/// when unarmed, deduplicated, or on I/O failure (recorded in the ring
-/// as `flightrec.error`).
+/// when unarmed, deduplicated, or on I/O failure (one stderr line with
+/// the path and the error, counted in [`write_failures`]).
 ///
 /// `build` runs outside the engine lock — it may re-execute the run to
 /// capture a trace — and only for the first fire per `(kind, key)`.
@@ -127,27 +132,16 @@ pub fn fire(kind: TriggerKind, key: &str, build: impl FnOnce() -> Bundle) -> Opt
         }
         armed.dir.clone()
     };
-    let mut bundle = build();
-    bundle.wall = Json::obj(vec![
-        ("ring", crate::recorder::recorder().snapshot_json()),
-        (
-            "metrics",
-            Json::Str(crate::registry::render_prometheus(None)),
-        ),
-    ]);
+    let bundle = build();
     let path = dir.join(bundle.file_name());
     match std::fs::write(&path, bundle.to_json_string()) {
         Ok(()) => {
             crate::counter("flightrec.bundles", Clock::Virtual).inc();
-            crate::recorder::record(Clock::Wall, "flightrec.bundle", path.display().to_string());
             Some(path)
         }
         Err(e) => {
-            crate::recorder::record(
-                Clock::Wall,
-                "flightrec.error",
-                format!("{}: {e}", path.display()),
-            );
+            crate::counter("flightrec.write_failures", Clock::Wall).inc();
+            eprintln!("[obs] cannot write bundle {}: {e}", path.display());
             None
         }
     }
@@ -156,6 +150,7 @@ pub fn fire(kind: TriggerKind, key: &str, build: impl FnOnce() -> Bundle) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazyeye_json::Json;
 
     fn bundle(kind: TriggerKind, key: &str) -> Bundle {
         Bundle::new(
@@ -213,10 +208,25 @@ mod tests {
         let text = std::fs::read_to_string(&p1).unwrap();
         let parsed = Bundle::from_json_str(&text).unwrap();
         assert_eq!(parsed.kind, "run-panic");
-        assert!(
-            parsed.wall.get("ring").is_some(),
-            "wall context attached at write time"
-        );
+        assert_eq!(text, parsed.to_json_string(), "the file is the bundle");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_is_counted_not_written() {
+        let _g = crate::test_lock().lock().unwrap();
+        let dir = std::env::temp_dir().join(format!("lazyeye-trigger-gone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        arm(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let failures = write_failures();
+        let written = bundles_written();
+        let path = fire(TriggerKind::Deviates, "k", || {
+            bundle(TriggerKind::Deviates, "k")
+        });
+        disarm();
+        assert!(path.is_none(), "a failed write returns no path");
+        assert_eq!(write_failures(), failures + 1);
+        assert_eq!(bundles_written(), written);
     }
 }

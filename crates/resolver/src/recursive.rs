@@ -117,12 +117,6 @@ impl RecursiveResolver {
         self.cache.stats()
     }
 
-    /// Clears cached data (per-run reset; the paper uses unique zone
-    /// apexes for the same reason).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     fn fresh_id(&self) -> u16 {
         let id = self.next_id.get();
         self.next_id.set(id.wrapping_add(1));

@@ -24,18 +24,6 @@ pub enum Either<A, B> {
     Right(B),
 }
 
-impl<A, B> Either<A, B> {
-    /// `true` if the left future won.
-    pub fn is_left(&self) -> bool {
-        matches!(self, Either::Left(_))
-    }
-
-    /// `true` if the right future won.
-    pub fn is_right(&self) -> bool {
-        matches!(self, Either::Right(_))
-    }
-}
-
 /// Races two futures; the loser is dropped (cancelled). The left future is
 /// polled first on every wake, so ties resolve deterministically to `Left`.
 pub async fn race<A: Future, B: Future>(a: A, b: B) -> Either<A::Output, B::Output> {

@@ -39,7 +39,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -359,11 +358,6 @@ impl ExecCore {
         m.slots_reused.add(self.slots_reused);
         if self.polls > 0 {
             m.run_virtual_us.record(self.now.as_nanos() / 1_000);
-            lazyeye_obs::recorder::record(
-                lazyeye_obs::Clock::Virtual,
-                "sim.run",
-                format!("virtual_us={}", self.now.as_nanos() / 1_000),
-            );
         }
         if let Some(track) = self.trace_track.take() {
             if self.polls > 0 {
@@ -575,12 +569,6 @@ impl Sim {
     /// past the last event on quiescence.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.run_inner(deadline, None)
-    }
-
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&mut self, d: Duration) -> RunOutcome {
-        let deadline = self.now() + d;
-        self.run_until(deadline)
     }
 
     /// Spawns `fut`, runs the simulation until it completes, and returns its
@@ -1017,6 +1005,7 @@ mod tests {
     use super::*;
     use crate::timer::sleep;
     use std::cell::RefCell;
+    use std::time::Duration;
 
     #[test]
     fn block_on_returns_value() {

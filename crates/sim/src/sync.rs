@@ -206,11 +206,6 @@ pub mod mpsc {
             Recv { rx: self }
         }
 
-        /// Non-blocking pop.
-        pub fn try_recv(&mut self) -> Option<T> {
-            self.inner.borrow_mut().queue.pop_front()
-        }
-
         /// Number of queued values.
         pub fn len(&self) -> usize {
             self.inner.borrow_mut().queue.len()

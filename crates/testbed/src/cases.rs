@@ -32,11 +32,6 @@ impl SweepSpec {
         SweepSpec::new(0, 400, 5)
     }
 
-    /// The paper's coarse initial sweep (wide, cheap).
-    pub fn paper_coarse() -> SweepSpec {
-        SweepSpec::new(0, 2500, 250)
-    }
-
     /// A fine sweep strictly inside the open switchover bracket
     /// `(last_v6, first_v4)`: values `last_v6 + step, last_v6 + 2·step, …`
     /// up to (excluding) `first_v4`. Returns `None` when the bracket is
@@ -95,7 +90,7 @@ impl Default for CadCaseConfig {
 }
 
 /// Which DNS record type a Resolution Delay case delays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DelayedRecord {
     /// Delay the AAAA answer (the classic RD test).
     Aaaa,

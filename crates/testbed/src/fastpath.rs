@@ -50,8 +50,7 @@ fn counter(name: &'static str) -> &'static lazyeye_obs::Counter {
 }
 
 /// Books one fallback: the aggregate `fastpath.fallbacks` stays the sum
-/// of the per-reason `fastpath.fallbacks{reason=..}` breakdown, and the
-/// flight recorder gets a `fastpath.fallback` event.
+/// of the per-reason `fastpath.fallbacks{reason=..}` breakdown.
 fn note_fallback(reason: &'static str) {
     counter("fastpath.fallbacks").inc();
     lazyeye_obs::counter_labeled(
@@ -61,7 +60,6 @@ fn note_fallback(reason: &'static str) {
         lazyeye_obs::Clock::Virtual,
     )
     .inc();
-    lazyeye_obs::recorder::record(lazyeye_obs::Clock::Virtual, "fastpath.fallback", reason);
 }
 
 /// The delays a sweep's model is verified at: both endpoints. The shift

@@ -541,8 +541,9 @@ impl Obs {
     fn finish(self) -> Result<(), String> {
         if self.flight_record {
             let n = lazy_eye_inspection::obs::trigger::bundles_written();
+            let failed = lazy_eye_inspection::obs::trigger::write_failures();
             lazy_eye_inspection::obs::trigger::disarm();
-            eprintln!("[obs] flight recorder wrote {n} bundle(s)");
+            eprintln!("[obs] flight recorder wrote {n} bundle(s), {failed} failed");
         }
         if let Some((stop, handle)) = self.reporter {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);

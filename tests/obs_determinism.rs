@@ -61,9 +61,7 @@ fn campaign_virtual_metrics_are_byte_identical_across_jobs() {
 
 /// The flight recorder's black boxes obey the same contract as the
 /// report: for an armed campaign, the bundle *set* (file names) and
-/// every bundle's virtual section (trigger + provenance + trace) are
-/// byte-identical across worker counts. Only the wall section (ring
-/// snapshot, metrics exposition) may move.
+/// every bundle file, byte for byte, are identical across worker counts.
 #[test]
 fn flight_recorder_bundles_are_byte_identical_across_jobs() {
     let _g = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -101,8 +99,8 @@ fn flight_recorder_bundles_are_byte_identical_across_jobs() {
         for entry in std::fs::read_dir(&dir).expect("bundle dir").flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             let text = std::fs::read_to_string(entry.path()).expect("read bundle");
-            let bundle = Bundle::from_json_str(&text).expect("parse bundle");
-            out.insert(name, bundle.virtual_json_string());
+            Bundle::from_json_str(&text).expect("parse bundle");
+            out.insert(name, text);
         }
         let _ = std::fs::remove_dir_all(&dir);
         out
@@ -122,7 +120,7 @@ fn flight_recorder_bundles_are_byte_identical_across_jobs() {
         assert_eq!(
             bundle_bytes(jobs),
             baseline,
-            "bundle set or virtual bytes moved between --jobs 1 and --jobs {jobs}"
+            "bundle set or bundle bytes moved between --jobs 1 and --jobs {jobs}"
         );
     }
 }
