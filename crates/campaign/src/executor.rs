@@ -8,6 +8,13 @@
 //! glue: resolving spec ids into profiles once ([`RunContext`]), the one
 //! dispatch from a run to the testbed ([`RunContext::dispatch`]), and
 //! reducing each run to a small [`RunOutput`] on the worker.
+//!
+//! With `--fast-path`, the context also holds a `FastCache`: one
+//! calibrated [`FastPath`] model per baseline CAD/RD cell of the plan.
+//! A run its cell's model serves skips simulation; a run it refuses
+//! simulates through the same dispatch and feeds the fastpath-fallback
+//! trigger. Without `--fast-path` the cache is empty and costs each run
+//! one map lookup.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -16,8 +23,8 @@ use lazyeye_exec::execute_indexed_with;
 use lazyeye_net::NetemRule;
 use lazyeye_resolver::ResolverProfile;
 use lazyeye_testbed::{
-    run_cad, run_rd, run_resolver, run_selection, CadFastPath, CadSample, DelayedRecord,
-    RdFastPath, RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
+    run_cad, run_rd, run_resolver, run_selection, CadSample, DelayedRecord, FastPath, FastSample,
+    RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
 };
 use lazyeye_trace::Trace;
 
@@ -100,12 +107,6 @@ pub struct RunContext {
     fast: FastCache,
 }
 
-/// A calibrated analytic model of one CAD or RD cell.
-enum FastModel {
-    Cad(CadFastPath),
-    Rd(RdFastPath),
-}
-
 /// Calibrated fast-path models by client, each tagged with its delayed
 /// record (`None` for the CAD model). Empty unless the campaign opted
 /// into `--fast-path`. Calibration runs eagerly at context build time —
@@ -113,7 +114,7 @@ enum FastModel {
 /// (the models hold only owned data; `RunContext` must stay `Sync`).
 #[derive(Default)]
 struct FastCache {
-    models: HashMap<String, Vec<(Option<DelayedRecord>, FastModel)>>,
+    models: HashMap<String, Vec<(Option<DelayedRecord>, FastPath)>>,
 }
 
 impl FastCache {
@@ -145,13 +146,7 @@ impl FastCache {
                 .collect();
             endpoints.dedup();
             let profile = ctx.client(client);
-            let model = match record {
-                None => CadFastPath::calibrate(profile, spec.seed, &endpoints).map(FastModel::Cad),
-                Some(record) => {
-                    RdFastPath::calibrate(profile, record, spec.seed, &endpoints).map(FastModel::Rd)
-                }
-            };
-            if let Some(model) = model {
+            if let Some(model) = FastPath::calibrate(profile, record, spec.seed, &endpoints) {
                 let models = fast.models.entry(client.to_string()).or_default();
                 models.push((record, model));
             }
@@ -172,10 +167,10 @@ impl FastCache {
         if !ctx.netem(c.netem).is_empty() {
             return None;
         }
-        Some(match model {
-            FastModel::Cad(fp) => fp.run_detailed(c.delay_ms, c.rep).map(RunOutput::Cad),
-            FastModel::Rd(fp) => fp.run_detailed(c.delay_ms, c.rep).map(RunOutput::Rd),
-        })
+        Some(model.run(c.delay_ms, c.rep).map(|sample| match sample {
+            FastSample::Cad(s) => RunOutput::Cad(s),
+            FastSample::Rd(s) => RunOutput::Rd(s),
+        }))
     }
 }
 

@@ -16,7 +16,7 @@
 //!   tasks by id through the one pooled waker allocated per *task* at
 //!   spawn.
 //! * **Lock split** — only the waker-reachable [`WakeQueue`] stays behind
-//!   `Arc<parking_lot::Mutex>` (the `Waker` contract demands `Send +
+//!   `Arc<std::sync::Mutex>` (the `Waker` contract demands `Send +
 //!   Sync`). The clock, RNG, slab and wheel live in a driving-thread-only
 //!   `Rc<RefCell<ExecCore>>`, so `now()`/`with_rng`/timer arming stop
 //!   paying lock + `Arc` traffic.
@@ -37,10 +37,9 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -133,6 +132,14 @@ struct WakeQueue {
 }
 
 impl WakeQueue {
+    /// Locks the shared queue. A poisoned lock is recovered: each
+    /// critical section is one queue operation whose only failure,
+    /// allocation, aborts the process, so no holder can have left the
+    /// queue half-updated.
+    fn lock(shared: &Mutex<WakeQueue>) -> MutexGuard<'_, WakeQueue> {
+        shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn enqueue(&mut self, id: TaskId) {
         let slot = id.slot();
         if self.queued.len() <= slot {
@@ -181,7 +188,7 @@ impl TaskWaker {
     fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
         if let Some(wake) = self.wake.upgrade() {
-            wake.lock().enqueue(self.id);
+            WakeQueue::lock(&wake).enqueue(self.id);
         }
     }
 }
@@ -192,7 +199,7 @@ impl Wake for TaskWaker {
     }
     fn wake_by_ref(self: &Arc<Self>) {
         if let Some(wake) = self.wake.upgrade() {
-            wake.lock().enqueue(self.id);
+            WakeQueue::lock(&wake).enqueue(self.id);
         }
     }
 }
@@ -528,7 +535,7 @@ impl Sim {
         core.trace_track = lazyeye_obs::trace::claim_virtual_track();
         core.trace_events_left = RUN_TRACE_EVENT_CAP;
         drop(core);
-        self.handle.wake.lock().clear();
+        WakeQueue::lock(&self.handle.wake).clear();
     }
 
     /// The handle used by spawned tasks; also usable directly.
@@ -623,7 +630,7 @@ impl Sim {
         loop {
             // Drain every task that is ready at the current instant.
             loop {
-                let next = self.handle.wake.lock().pop();
+                let next = WakeQueue::lock(&self.handle.wake).pop();
                 let Some(id) = next else { break };
                 self.poll_task(id);
                 if let Some(stop) = stop_when {
@@ -649,7 +656,7 @@ impl Sim {
                     let alive = core.slab.is_live(entry.task);
                     drop(core);
                     if alive {
-                        self.handle.wake.lock().enqueue(entry.task);
+                        WakeQueue::lock(&self.handle.wake).enqueue(entry.task);
                     }
                 }
                 crate::wheel::PopOutcome::Beyond => {
@@ -782,7 +789,7 @@ impl SimHandle {
         }
         drop(core);
         // Immediately runnable.
-        self.wake.lock().enqueue(id);
+        WakeQueue::lock(&self.wake).enqueue(id);
         waker.expect("alloc ran the constructor")
     }
 

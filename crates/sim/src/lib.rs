@@ -13,7 +13,7 @@
 //!   paper's physical testbed depends on (§4.3 of the paper).
 //!
 //! The API deliberately mirrors tokio's shape (`spawn`, `sleep`, `timeout`,
-//! `sync::{oneshot, mpsc}`, `JoinHandle::abort`) so the networking code in
+//! `sync::mpsc`, `JoinHandle::abort`) so the networking code in
 //! the other crates reads like ordinary async Rust.
 //!
 //! ```

@@ -1,5 +1,5 @@
-//! Task-to-task synchronisation: oneshot channels, unbounded mpsc channels
-//! and a notification cell, mirroring the tokio::sync API shape.
+//! Task-to-task synchronisation: unbounded mpsc channels, mirroring the
+//! tokio::sync API shape.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -7,107 +7,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-/// Single-value channel primitives.
-pub mod oneshot {
-    use super::*;
-
-    struct Inner<T> {
-        value: Option<T>,
-        waker: Option<Waker>,
-        closed: bool,
-    }
-
-    /// Sending half; consumed on send.
-    pub struct Sender<T> {
-        inner: Rc<RefCell<Inner<T>>>,
-    }
-
-    /// Receiving half; awaits the value.
-    pub struct Receiver<T> {
-        inner: Rc<RefCell<Inner<T>>>,
-    }
-
-    /// Error: the sender was dropped without sending.
-    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "oneshot sender dropped without sending")
-        }
-    }
-    impl std::error::Error for RecvError {}
-
-    /// Creates a oneshot channel.
-    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Rc::new(RefCell::new(Inner {
-            value: None,
-            waker: None,
-            closed: false,
-        }));
-        (
-            Sender {
-                inner: Rc::clone(&inner),
-            },
-            Receiver { inner },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Sends the value; `Err(v)` if the receiver is gone.
-        pub fn send(self, v: T) -> Result<(), T> {
-            let mut inner = self.inner.borrow_mut();
-            if inner.closed {
-                return Err(v);
-            }
-            inner.value = Some(v);
-            if let Some(w) = inner.waker.take() {
-                w.wake();
-            }
-            Ok(())
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut inner = self.inner.borrow_mut();
-            inner.closed = true;
-            if let Some(w) = inner.waker.take() {
-                w.wake();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.inner.borrow_mut().closed = true;
-        }
-    }
-
-    impl<T> Future for Receiver<T> {
-        type Output = Result<T, RecvError>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(v) = inner.value.take() {
-                return Poll::Ready(Ok(v));
-            }
-            if inner.closed {
-                return Poll::Ready(Err(RecvError));
-            }
-            inner.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mpsc (unbounded)
-// ---------------------------------------------------------------------------
 
 /// Unbounded multi-producer single-consumer channel primitives.
 pub mod mpsc {
@@ -238,115 +137,12 @@ pub mod mpsc {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------------
-
-/// A level-triggered notification cell: `notified().await` completes once
-/// [`Notify::notify_one`] has been called (permits do not accumulate beyond
-/// one, like `tokio::sync::Notify`).
-pub struct Notify {
-    inner: RefCell<NotifyInner>,
-}
-
-struct NotifyInner {
-    permit: bool,
-    waiters: Vec<Waker>,
-}
-
-impl Default for Notify {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Notify {
-    /// Creates an un-notified cell.
-    pub fn new() -> Self {
-        Notify {
-            inner: RefCell::new(NotifyInner {
-                permit: false,
-                waiters: Vec::new(),
-            }),
-        }
-    }
-
-    /// Stores a single permit and wakes one waiter (all waiters are woken;
-    /// one will consume the permit, others re-park — adequate for the
-    /// simulator's single-threaded determinism).
-    pub fn notify_one(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.permit = true;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// Waits for a permit.
-    pub fn notified(&self) -> Notified<'_> {
-        Notified { notify: self }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-pub struct Notified<'a> {
-    notify: &'a Notify,
-}
-
-impl Future for Notified<'_> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.notify.inner.borrow_mut();
-        if inner.permit {
-            inner.permit = false;
-            return Poll::Ready(());
-        }
-        inner.waiters.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::{spawn, Sim};
     use crate::timer::sleep;
     use std::time::Duration;
-
-    #[test]
-    fn oneshot_roundtrip() {
-        let mut sim = Sim::new(1);
-        let v = sim.block_on(async {
-            let (tx, rx) = oneshot::channel();
-            spawn(async move {
-                sleep(Duration::from_millis(5)).await;
-                tx.send(42).unwrap();
-            });
-            rx.await.unwrap()
-        });
-        assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn oneshot_sender_dropped() {
-        let mut sim = Sim::new(1);
-        let r = sim.block_on(async {
-            let (tx, rx) = oneshot::channel::<u32>();
-            drop(tx);
-            rx.await
-        });
-        assert_eq!(r, Err(oneshot::RecvError));
-    }
-
-    #[test]
-    fn oneshot_send_to_dropped_receiver() {
-        let mut sim = Sim::new(1);
-        sim.block_on(async {
-            let (tx, rx) = oneshot::channel::<u32>();
-            drop(rx);
-            assert_eq!(tx.send(1), Err(1));
-        });
-    }
 
     #[test]
     fn mpsc_preserves_order_across_senders() {
@@ -389,34 +185,6 @@ mod tests {
             let (tx, rx) = mpsc::unbounded::<u8>();
             drop(rx);
             assert!(tx.send(1).is_err());
-        });
-    }
-
-    #[test]
-    fn notify_wakes_waiter() {
-        let mut sim = Sim::new(1);
-        let t = sim.block_on(async {
-            let n = std::rc::Rc::new(Notify::new());
-            let n2 = n.clone();
-            spawn(async move {
-                sleep(Duration::from_millis(7)).await;
-                n2.notify_one();
-            });
-            n.notified().await;
-            crate::executor::now()
-        });
-        assert_eq!(t.as_millis(), 7);
-    }
-
-    #[test]
-    fn notify_permit_is_consumed() {
-        let mut sim = Sim::new(1);
-        sim.block_on(async {
-            let n = Notify::new();
-            n.notify_one();
-            n.notified().await; // consumes the stored permit
-            let waited = crate::timer::timeout(Duration::from_millis(1), n.notified()).await;
-            assert!(waited.is_err(), "second wait must block");
         });
     }
 }

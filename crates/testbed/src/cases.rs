@@ -51,6 +51,20 @@ impl SweepSpec {
         Some(SweepSpec::new(start, first_v4 - 1, step_ms))
     }
 
+    /// The number of runs a sweep of `repetitions` per value makes,
+    /// counted without materialising the values (saturating): a hostile
+    /// sweep is refused before anything is allocated.
+    pub fn runs(&self, repetitions: u32) -> u64 {
+        let values = match self.step_ms {
+            0 => 1,
+            step => self
+                .end_ms
+                .checked_sub(self.start_ms)
+                .map_or(0, |span| (span / step).saturating_add(1)),
+        };
+        values.saturating_mul(repetitions.into())
+    }
+
     /// Materialises the delay values. A zero step (possible only via
     /// deserialized configs, [`SweepSpec::new`] rejects it) yields just the
     /// start value instead of looping forever.
@@ -254,17 +268,10 @@ impl TestbedConfig {
     fn validate(&self) -> Result<(), String> {
         let selection = self.selection.as_ref();
         selection.map_or(Ok(()), SelectionCaseConfig::validate)?;
-        // A zero step yields one value.
-        let runs = |s: &SweepSpec, reps: u32| {
-            let values = s.end_ms.saturating_sub(s.start_ms) / s.step_ms.max(1) + 1;
-            values.saturating_mul(reps.into())
-        };
         let swept = [
-            self.cad.as_ref().map(|c| runs(&c.sweep, c.repetitions)),
-            self.rd.as_ref().map(|c| runs(&c.sweep, c.repetitions)),
-            self.resolver
-                .as_ref()
-                .map(|c| runs(&c.sweep, c.repetitions)),
+            self.cad.as_ref().map(|c| c.sweep.runs(c.repetitions)),
+            self.rd.as_ref().map(|c| c.sweep.runs(c.repetitions)),
+            self.resolver.as_ref().map(|c| c.sweep.runs(c.repetitions)),
         ];
         let total = swept
             .into_iter()
@@ -288,6 +295,22 @@ mod tests {
         assert_eq!(SweepSpec::new(0, 20, 5).values(), vec![0, 5, 10, 15, 20]);
         assert_eq!(SweepSpec::new(10, 10, 5).values(), vec![10]);
         assert_eq!(SweepSpec::new(0, 9, 5).values(), vec![0, 5]);
+        // `runs` counts the same values without materialising them.
+        for sweep in [
+            SweepSpec::new(0, 20, 5),
+            SweepSpec::new(10, 10, 5),
+            SweepSpec::new(0, 9, 5),
+            SweepSpec::new(20, 10, 5),
+            SweepSpec::new(u64::MAX - 3, u64::MAX, 2),
+            SweepSpec {
+                start_ms: 3,
+                end_ms: 100,
+                step_ms: 0,
+            },
+        ] {
+            assert_eq!(sweep.runs(3), 3 * sweep.values().len() as u64, "{sweep:?}");
+        }
+        assert_eq!(SweepSpec::new(0, u64::MAX, 1).runs(2), u64::MAX);
     }
 
     #[test]

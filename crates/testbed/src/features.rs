@@ -2,11 +2,12 @@
 //! Eyeballs features through black-box testbed runs.
 
 use lazyeye_clients::ClientProfile;
-use lazyeye_dns::RrType;
 use lazyeye_net::Family;
 
 use crate::cases::{CadCaseConfig, DelayedRecord, RdCaseConfig, SelectionCaseConfig, SweepSpec};
-use crate::runner::{run_cad_case, run_rd_case, run_selection_case, summarize_cad, summarize_rd};
+use crate::runner::{
+    aaaa_before_a, run_cad_case, run_rd_case, run_selection_case, summarize_cad, summarize_rd,
+};
 use crate::topology::{default_local_topology, resolver_addr, www};
 
 /// One row of the Table 2 feature matrix.
@@ -55,12 +56,7 @@ pub fn evaluate_client_features(profile: &ClientProfile, seed: u64) -> FeatureRo
     let prefers_v6 = healthy.connection.as_ref().ok().map(|c| c.family()) == Some(Family::V6);
 
     // (2) AAAA first: wire order at the DNS server.
-    let log = auth.query_log();
-    let aaaa_first = {
-        let first_aaaa = log.iter().position(|e| e.qtype == RrType::Aaaa);
-        let first_a = log.iter().position(|e| e.qtype == RrType::A);
-        matches!((first_aaaa, first_a), (Some(x), Some(y)) if x < y)
-    };
+    let aaaa_first = aaaa_before_a(&auth.query_log()) == Some(true);
 
     // (3) CAD: does a large IPv6 delay provoke IPv4 fallback?
     let cad_cfg = CadCaseConfig {

@@ -10,8 +10,10 @@
 //! (string-heavy event records) is only built when asked for: campaign
 //! sweeps make hundreds of thousands of untraced runs.
 
-use lazyeye_authns::{DelayTarget, QueryLogEntry};
+use lazyeye_authns::{AuthServer, DelayTarget, QueryLogEntry};
 use lazyeye_clients::{Client, ClientProfile};
+use lazyeye_core::HeLog;
+use lazyeye_dns::{Name, RrType};
 use lazyeye_net::{Family, Netem, NetemRule};
 use lazyeye_resolver::{RecursiveConfig, RecursiveResolver, ResolverProfile};
 use lazyeye_sim::SimTime;
@@ -22,6 +24,7 @@ use crate::cases::{
 };
 use crate::topology::{
     default_local_topology, resolver_addr, resolver_topology_for_delay, test_domain_topology, www,
+    LocalTopology,
 };
 
 // ---------------------------------------------------------------------------
@@ -72,6 +75,39 @@ fn query_arrival_events(log: &[QueryLogEntry]) -> Vec<TraceEvent> {
         .collect()
 }
 
+/// A client run's trace, built only when its label `condition` is given:
+/// the engine log's events under the run's metadata, merged with the
+/// query arrivals at the authoritative server.
+fn client_trace(
+    case: &str,
+    profile: &ClientProfile,
+    condition: Option<&str>,
+    (delay_ms, rep, seed): (u64, u32, u64),
+    log: &HeLog,
+    auth: &AuthServer,
+) -> Option<Trace> {
+    condition.map(|condition| {
+        let meta = TraceMeta {
+            subject: profile.id(),
+            case: case.to_string(),
+            condition: condition.to_string(),
+            configured_delay_ms: delay_ms,
+            rep,
+            seed,
+        };
+        let mut trace = Trace::from_he_log(meta, log);
+        trace.merge_events(query_arrival_events(&auth.query_log()));
+        trace
+    })
+}
+
+/// Whether the AAAA query reached the DNS server before the A query
+/// (Table 2's "AAAA first"); `None` when either never arrived.
+pub(crate) fn aaaa_before_a(log: &[QueryLogEntry]) -> Option<bool> {
+    let first = |qtype: RrType| log.iter().position(|e| e.qtype == qtype);
+    Some(first(RrType::Aaaa)? < first(RrType::A)?)
+}
+
 /// The open switchover bracket `(last_v6, first_v4)` of a sweep, when the
 /// sweep detected one: the switchover lies strictly between the largest
 /// delay won by IPv6 and the smallest delay at which IPv4 was used. The
@@ -91,7 +127,7 @@ pub fn switchover_bracket(
 // ---------------------------------------------------------------------------
 
 /// One CAD measurement run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CadSample {
     /// Configured IPv6 delay (ms).
     pub configured_delay_ms: u64,
@@ -130,7 +166,7 @@ pub fn run_cad(
     seed: u64,
     extra_netem: &[NetemRule],
     trace: Option<&str>,
-) -> (CadSample, Option<Trace>, lazyeye_core::HeLog) {
+) -> (CadSample, Option<Trace>, HeLog) {
     let mut topo = default_local_topology(seed);
     // The paper shapes IPv6 on the server side with tc-netem.
     topo.server
@@ -148,36 +184,20 @@ pub fn run_cad(
         .capture()
         .connection_attempt_delay()
         .map(|d| d.as_secs_f64() * 1000.0);
-    let log = topo.auth.query_log();
-    let first_aaaa = log
-        .iter()
-        .position(|e| e.qtype == lazyeye_dns::RrType::Aaaa);
-    let first_a = log.iter().position(|e| e.qtype == lazyeye_dns::RrType::A);
-    let aaaa_first = match (first_aaaa, first_a) {
-        (Some(x), Some(y)) => Some(x < y),
-        _ => None,
-    };
-    let trace = trace.map(|condition| {
-        let mut trace = Trace::from_he_log(
-            TraceMeta {
-                subject: profile.id(),
-                case: "cad".to_string(),
-                condition: condition.to_string(),
-                configured_delay_ms: delay_ms,
-                rep,
-                seed,
-            },
-            &res.log,
-        );
-        trace.merge_events(query_arrival_events(&log));
-        trace
-    });
+    let trace = client_trace(
+        "cad",
+        profile,
+        trace,
+        (delay_ms, rep, seed),
+        &res.log,
+        &topo.auth,
+    );
     let sample = CadSample {
         configured_delay_ms: delay_ms,
         rep,
         family,
         observed_cad_ms,
-        aaaa_first,
+        aaaa_first: aaaa_before_a(&topo.auth.query_log()),
     };
     (sample, trace, res.log)
 }
@@ -279,7 +299,7 @@ pub fn summarize_cad(samples: &[CadSample]) -> CadSummary {
 // ---------------------------------------------------------------------------
 
 /// One Resolution Delay measurement run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RdSample {
     /// Configured DNS answer delay (ms).
     pub configured_delay_ms: u64,
@@ -319,6 +339,34 @@ pub fn delayed_record_of(label: &str) -> Option<DelayedRecord> {
         .find(|r| delayed_record_label(*r) == label)
 }
 
+/// The RD case's topology and probe name: a test domain served from the
+/// server host's own (live) addresses — RD tests measure connection
+/// timing, not fallback between dead addresses — and a name asking its
+/// authoritative server to delay the `delayed` answer by `delay_ms`.
+/// `nonce` keeps the name unique per run; the engine log carries no
+/// names, so it never shows in a sample.
+pub(crate) fn rd_topology(
+    seed: u64,
+    delayed: DelayedRecord,
+    delay_ms: u64,
+    nonce: &str,
+) -> (LocalTopology, Name) {
+    let topo = test_domain_topology(
+        seed,
+        "rd.test",
+        vec!["192.0.2.1".parse().expect("literal address")],
+        vec!["2001:db8::1".parse().expect("literal address")],
+    );
+    let target = match delayed {
+        DelayedRecord::Aaaa => DelayTarget::Aaaa,
+        DelayedRecord::A => DelayTarget::A,
+    };
+    let params = lazyeye_authns::TestParams::delay(delay_ms, target, nonce);
+    let qname = Name::parse(&format!("{}.rd.test", params.to_label()))
+        .expect("test-parameter labels are valid DNS labels");
+    (topo, qname)
+}
+
 /// Runs a single Resolution-Delay measurement: one fresh simulation, one
 /// delayed record type, one configured DNS answer delay, extra netem rules
 /// on the server egress. Traces and logs as [`run_cad`] does.
@@ -330,24 +378,11 @@ pub fn run_rd(
     seed: u64,
     extra_netem: &[NetemRule],
     trace: Option<&str>,
-) -> (RdSample, Option<Trace>, lazyeye_core::HeLog) {
-    let target = match delayed {
-        DelayedRecord::Aaaa => DelayTarget::Aaaa,
-        DelayedRecord::A => DelayTarget::A,
-    };
-    // Live addresses (the server host's own) — RD tests measure
-    // connection timing, not fallback between dead addresses.
-    let mut topo = test_domain_topology(
-        seed,
-        "rd.test",
-        vec!["192.0.2.1".parse().unwrap()],
-        vec!["2001:db8::1".parse().unwrap()],
-    );
+) -> (RdSample, Option<Trace>, HeLog) {
+    let (mut topo, qname) = rd_topology(seed, delayed, delay_ms, &format!("r{rep}"));
     for rule in extra_netem {
         topo.server.add_egress(rule.clone());
     }
-    let params = lazyeye_authns::TestParams::delay(delay_ms, target, format!("r{rep}"));
-    let qname = lazyeye_dns::Name::parse(&format!("{}.rd.test", params.to_label())).unwrap();
     let client = Client::new(profile.clone(), topo.client.clone(), vec![resolver_addr()]);
     let res = topo
         .sim
@@ -361,21 +396,14 @@ pub fn run_rd(
         .chain(topo.client.capture().first_syn(Family::V4))
         .min()
         .map(|t: SimTime| t.as_nanos() as f64 / 1e6);
-    let trace = trace.map(|condition| {
-        let mut trace = Trace::from_he_log(
-            TraceMeta {
-                subject: profile.id(),
-                case: "rd".to_string(),
-                condition: condition.to_string(),
-                configured_delay_ms: delay_ms,
-                rep,
-                seed,
-            },
-            &res.log,
-        );
-        trace.merge_events(query_arrival_events(&topo.auth.query_log()));
-        trace
-    });
+    let trace = client_trace(
+        "rd",
+        profile,
+        trace,
+        (delay_ms, rep, seed),
+        &res.log,
+        &topo.auth,
+    );
     let used_rd = res.log.used_resolution_delay();
     let sample = RdSample {
         configured_delay_ms: delay_ms,
@@ -491,26 +519,19 @@ pub fn run_selection(
     let mut client_profile = profile.clone();
     client_profile.he.attempt_timeout = std::time::Duration::from_millis(cfg.attempt_timeout_ms);
     client_profile.he.overall_deadline = std::time::Duration::from_secs(300);
-    let qname = lazyeye_dns::Name::parse("d0-tnone-nsel.sel.test").unwrap();
+    let qname = Name::parse("d0-tnone-nsel.sel.test").expect("literal name");
     let client = Client::new(client_profile, topo.client.clone(), vec![resolver_addr()]);
     let res = topo
         .sim
         .block_on(async move { client.connect_only(&qname, 80).await });
-    let trace = trace.map(|condition| {
-        let mut trace = Trace::from_he_log(
-            TraceMeta {
-                subject: profile.id(),
-                case: "selection".to_string(),
-                condition: condition.to_string(),
-                configured_delay_ms: 0,
-                rep,
-                seed,
-            },
-            &res.log,
-        );
-        trace.merge_events(query_arrival_events(&topo.auth.query_log()));
-        trace
-    });
+    let trace = client_trace(
+        "selection",
+        profile,
+        trace,
+        (0, rep, seed),
+        &res.log,
+        &topo.auth,
+    );
     let result = SelectionResult {
         order: res.log.attempt_families(),
         v6_used: res.log.addrs_used(Family::V6),
@@ -586,7 +607,7 @@ pub fn run_resolver(
     let qname = topo.qname.clone();
     let resolved = topo.sim.block_on(async move {
         resolver
-            .resolve(&qname, lazyeye_dns::RrType::A)
+            .resolve(&qname, RrType::A)
             .await
             .map(|r| !r.records.is_empty())
             .unwrap_or(false)

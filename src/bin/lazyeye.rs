@@ -44,7 +44,7 @@ use lazy_eye_inspection::campaign::{
     InferredClientReport, LatencyBudget,
 };
 use lazy_eye_inspection::clients::{all_measured_clients, ClientProfile};
-use lazy_eye_inspection::exec::{merge, Engine, Matrix, Partial, Report, Shard};
+use lazy_eye_inspection::exec::{check_plan_budget, merge, Engine, Matrix, Partial, Report, Shard};
 use lazy_eye_inspection::fleet::{FleetMatrix, FleetReport, FleetSpec};
 use lazy_eye_inspection::infer::{
     fmt_opt, infer_resolver_traces, infer_traces, profiles_from_json, score_profile, BehaviourDiff,
@@ -1165,6 +1165,7 @@ fn run(args: &[String]) -> Cmd {
                 return Err("flag --step: must be > 0".into());
             }
             let grid = SweepSpec::new(from, to, step);
+            check_plan_budget(grid.runs(reps), "runs")?;
             let runs = sweep("cad", CAD_SEED_TAG, &grid, reps, seed, |d, rep, s| {
                 let (sample, trace, _) = run_cad(&profile, d, rep, s, &[], Some("baseline"));
                 (sample, trace)
@@ -1263,6 +1264,7 @@ fn run(args: &[String]) -> Cmd {
                 profile.policy.server_timeout.as_millis() as u64 + 400,
                 200,
             );
+            check_plan_budget(grid.runs(reps), "runs")?;
             let runs = sweep(
                 "resolver",
                 RESOLVER_SEED_TAG,

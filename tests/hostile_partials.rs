@@ -10,8 +10,9 @@
 //! its planned item, a malformed shard, an embedded spec that plans past
 //! the kernel's item budget — must exit 1 with an error, never a panic or
 //! an out-of-memory abort, and within 5 s under a 1.5 GB address-space
-//! limit. So must a fresh run of such a spec or testbed config, or of one
-//! asking for more dead selection addresses than a run can number.
+//! limit. So must a fresh run of such a spec or testbed config, a `cad`
+//! or `resolver` sweep over the budget, or a spec asking for more dead
+//! selection addresses than a run can number.
 //!
 //! Below the CLI, every truncation prefix and a fixed-seed set of
 //! single-byte mutations of the fixtures, and of an emitted trace set,
@@ -355,6 +356,13 @@ fn hostile_testbed_configs_fail_cleanly() {
         end_ms: 1_000_000_000_000,
         step_ms: 1,
     };
+    // The whole u64 range: its value count must saturate, not wrap to 0.
+    let mut full_range = TestbedConfig::default();
+    full_range.cad.as_mut().unwrap().sweep = SweepSpec {
+        start_ms: 0,
+        end_ms: u64::MAX,
+        step_ms: 1,
+    };
     for (name, cfg, error) in [
         (
             "config-selection",
@@ -362,6 +370,11 @@ fn hostile_testbed_configs_fail_cleanly() {
             "bad config: selection.v4_addresses must be at most 254, got 300",
         ),
         ("config-sweep", sweep, "over the budget of 10000000"),
+        (
+            "config-full-range",
+            full_range,
+            "over the budget of 10000000",
+        ),
     ] {
         let path = scratch(name, &cfg.to_json());
         let stderr = assert_fails(name, &["run", "--config", &path]);
@@ -370,6 +383,35 @@ fn hostile_testbed_configs_fail_cleanly() {
             "{name}: expected {error:?}\n{stderr}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+    // Single-case sweeps from the command line plan against the same
+    // budget: a 10^14-value CAD sweep, four billion repetitions.
+    for (name, args) in [
+        (
+            "cad-sweep",
+            &[
+                "cad",
+                "--client",
+                "curl-7.88.1",
+                "--from",
+                "0",
+                "--to",
+                "100000000000000",
+                "--step",
+                "1",
+            ][..],
+        ),
+        (
+            "cad-reps",
+            &["cad", "--client", "curl-7.88.1", "--reps", "4000000000"][..],
+        ),
+        (
+            "resolver-reps",
+            &["resolver", "--profile", "Unbound", "--reps", "4000000000"][..],
+        ),
+    ] {
+        let stderr = assert_fails(name, args);
+        assert_budget(name, &stderr);
     }
 }
 
