@@ -118,7 +118,7 @@ fn bench(c: &mut Criterion) {
     // scaffolding.
     c.bench_function("cad_cell_compiled", |b| {
         let profile = lazyeye_clients::table2_clients().remove(0);
-        let fp = lazyeye_testbed::FastPath::calibrate(&profile, None, 7, &[]).unwrap();
+        let fp = lazyeye_testbed::FastPath::calibrate(&profile, 7, &[]).unwrap();
         b.iter(|| std::hint::black_box(fp.run(200, 0).unwrap()))
     });
 }

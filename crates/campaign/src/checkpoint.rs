@@ -34,7 +34,7 @@ use crate::{build_report_with, forensics, profile, refine};
 /// The campaign's run options; the kernel passes them through unread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CampaignOptions {
-    /// Run baseline-netem CAD/RD cells through the calibrated analytic
+    /// Run baseline-netem CAD cells through the calibrated analytic
     /// models wherever they verify (see [`RunContext::new_with`]). The
     /// report is byte-identical either way.
     pub fast_path: bool,

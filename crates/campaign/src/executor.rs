@@ -10,7 +10,7 @@
 //! reducing each run to a small [`RunOutput`] on the worker.
 //!
 //! With `--fast-path`, the context also holds a `FastCache`: one
-//! calibrated [`FastPath`] model per baseline CAD/RD cell of the plan.
+//! calibrated [`FastPath`] model per baseline CAD cell of the plan.
 //! A run its cell's model serves skips simulation; a run it refuses
 //! simulates through the same dispatch and feeds the fastpath-fallback
 //! trigger. Without `--fast-path` the cache is empty and costs each run
@@ -23,8 +23,8 @@ use lazyeye_exec::execute_indexed_with;
 use lazyeye_net::NetemRule;
 use lazyeye_resolver::ResolverProfile;
 use lazyeye_testbed::{
-    run_cad, run_rd, run_resolver, run_selection, CadSample, DelayedRecord, FastPath, FastSample,
-    RdSample, ResolverSample, SelectionCaseConfig, SelectionResult,
+    run_cad, run_rd, run_resolver, run_selection, CadSample, FastPath, RdSample, ResolverSample,
+    SelectionCaseConfig, SelectionResult,
 };
 use lazyeye_trace::Trace;
 
@@ -107,37 +107,36 @@ pub struct RunContext {
     fast: FastCache,
 }
 
-/// Calibrated fast-path models by client, each tagged with its delayed
-/// record (`None` for the CAD model). Empty unless the campaign opted
-/// into `--fast-path`. Calibration runs eagerly at context build time —
-/// before workers exist — so the cache is shared immutably afterwards
-/// (the models hold only owned data; `RunContext` must stay `Sync`).
+/// Calibrated CAD fast-path models by client. Empty unless the campaign
+/// opted into `--fast-path`. Calibration runs eagerly at context build
+/// time — before workers exist — so the cache is shared immutably
+/// afterwards (the models hold only owned data; `RunContext` must stay
+/// `Sync`).
 #[derive(Default)]
 struct FastCache {
-    models: HashMap<String, Vec<(Option<DelayedRecord>, FastPath)>>,
+    models: HashMap<String, FastPath>,
 }
 
 impl FastCache {
-    /// Calibrates a model per baseline CAD/RD cell of the expanded plan,
+    /// Calibrates a model per baseline CAD cell of the expanded plan,
     /// verifying each against the real first-pass runs at the sweep
     /// endpoints (rep 0, the runs' own seeds). A cell whose model fails
     /// verification simply stays out of the cache and simulates normally.
     fn build(ctx: &RunContext, spec: &CampaignSpec, runs: &[RunSpec]) -> FastCache {
         // (delay -> seed) per cell, baseline netem and rep 0 only.
-        let mut cells: BTreeMap<(&str, Option<DelayedRecord>), BTreeMap<u64, u64>> =
-            BTreeMap::new();
+        let mut cells: BTreeMap<&str, BTreeMap<u64, u64>> = BTreeMap::new();
         for run in runs {
             let c = run.kind.coords();
-            if !matches!(c.case, "cad" | "rd") || c.rep != 0 || !ctx.netem(c.netem).is_empty() {
+            if c.case != "cad" || c.rep != 0 || !ctx.netem(c.netem).is_empty() {
                 continue;
             }
             cells
-                .entry((c.subject, c.record))
+                .entry(c.subject)
                 .or_default()
                 .insert(c.delay_ms, run.seed);
         }
         let mut fast = FastCache::default();
-        for ((client, record), cell) in cells {
+        for (client, cell) in cells {
             let mut endpoints: Vec<(u64, u64)> = cell
                 .first_key_value()
                 .into_iter()
@@ -146,9 +145,8 @@ impl FastCache {
                 .collect();
             endpoints.dedup();
             let profile = ctx.client(client);
-            if let Some(model) = FastPath::calibrate(profile, record, spec.seed, &endpoints) {
-                let models = fast.models.entry(client.to_string()).or_default();
-                models.push((record, model));
+            if let Some(model) = FastPath::calibrate(profile, spec.seed, &endpoints) {
+                fast.models.insert(client.to_string(), model);
             }
         }
         fast
@@ -159,18 +157,14 @@ impl FastCache {
     /// modelled output or the reason the model refused the run.
     fn run(&self, ctx: &RunContext, kind: &RunKind) -> Option<Result<RunOutput, &'static str>> {
         let c = kind.coords();
-        if !matches!(c.case, "cad" | "rd") {
+        if c.case != "cad" {
             return None;
         }
-        let models = self.models.get(c.subject)?;
-        let (_, model) = models.iter().find(|(record, _)| *record == c.record)?;
+        let model = self.models.get(c.subject)?;
         if !ctx.netem(c.netem).is_empty() {
             return None;
         }
-        Some(model.run(c.delay_ms, c.rep).map(|sample| match sample {
-            FastSample::Cad(s) => RunOutput::Cad(s),
-            FastSample::Rd(s) => RunOutput::Rd(s),
-        }))
+        Some(model.run(c.delay_ms, c.rep).map(RunOutput::Cad))
     }
 }
 
@@ -178,7 +172,7 @@ impl RunContext {
     /// Builds the context for a spec, resolving ids up front so workers
     /// never fail on lookups.
     ///
-    /// With `fast_path`, CAD/RD models are calibrated against the
+    /// With `fast_path`, CAD models are calibrated against the
     /// expanded plan's own endpoint runs and used for every
     /// baseline-netem cell they verify on. Cells the models refuse (ties,
     /// QUIC profiles, shaped netem, failed verification) simulate as

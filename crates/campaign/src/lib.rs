@@ -174,7 +174,8 @@ mod tests {
         assert_eq!(slow.to_csv(), fast.to_csv());
     }
 
-    /// Same gate for the RD plan (both delayed-record variants).
+    /// Same gate for the RD plan (both delayed-record variants), which
+    /// the fast path must leave to the simulator untouched.
     #[test]
     fn fast_path_report_byte_identical_rd() {
         let spec = CampaignSpec {

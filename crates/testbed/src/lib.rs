@@ -22,7 +22,7 @@ pub use cases::{
     CadCaseConfig, DelayedRecord, RdCaseConfig, ResolverCaseConfig, SelectionCaseConfig, SweepSpec,
     TestbedConfig,
 };
-pub use fastpath::{FastPath, FastSample};
+pub use fastpath::FastPath;
 pub use features::{evaluate_client_features, FeatureRow};
 pub use runner::{
     delayed_record_label, delayed_record_of, derive_case_seed, run_cad, run_cad_case, run_rd,

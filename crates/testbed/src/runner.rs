@@ -24,7 +24,6 @@ use crate::cases::{
 };
 use crate::topology::{
     default_local_topology, resolver_addr, resolver_topology_for_delay, test_domain_topology, www,
-    LocalTopology,
 };
 
 // ---------------------------------------------------------------------------
@@ -339,34 +338,6 @@ pub fn delayed_record_of(label: &str) -> Option<DelayedRecord> {
         .find(|r| delayed_record_label(*r) == label)
 }
 
-/// The RD case's topology and probe name: a test domain served from the
-/// server host's own (live) addresses — RD tests measure connection
-/// timing, not fallback between dead addresses — and a name asking its
-/// authoritative server to delay the `delayed` answer by `delay_ms`.
-/// `nonce` keeps the name unique per run; the engine log carries no
-/// names, so it never shows in a sample.
-pub(crate) fn rd_topology(
-    seed: u64,
-    delayed: DelayedRecord,
-    delay_ms: u64,
-    nonce: &str,
-) -> (LocalTopology, Name) {
-    let topo = test_domain_topology(
-        seed,
-        "rd.test",
-        vec!["192.0.2.1".parse().expect("literal address")],
-        vec!["2001:db8::1".parse().expect("literal address")],
-    );
-    let target = match delayed {
-        DelayedRecord::Aaaa => DelayTarget::Aaaa,
-        DelayedRecord::A => DelayTarget::A,
-    };
-    let params = lazyeye_authns::TestParams::delay(delay_ms, target, nonce);
-    let qname = Name::parse(&format!("{}.rd.test", params.to_label()))
-        .expect("test-parameter labels are valid DNS labels");
-    (topo, qname)
-}
-
 /// Runs a single Resolution-Delay measurement: one fresh simulation, one
 /// delayed record type, one configured DNS answer delay, extra netem rules
 /// on the server egress. Traces and logs as [`run_cad`] does.
@@ -379,10 +350,26 @@ pub fn run_rd(
     extra_netem: &[NetemRule],
     trace: Option<&str>,
 ) -> (RdSample, Option<Trace>, HeLog) {
-    let (mut topo, qname) = rd_topology(seed, delayed, delay_ms, &format!("r{rep}"));
+    let target = match delayed {
+        DelayedRecord::Aaaa => DelayTarget::Aaaa,
+        DelayedRecord::A => DelayTarget::A,
+    };
+    // Live addresses (the server host's own) — RD tests measure
+    // connection timing, not fallback between dead addresses.
+    let mut topo = test_domain_topology(
+        seed,
+        "rd.test",
+        vec!["192.0.2.1".parse().expect("literal address")],
+        vec!["2001:db8::1".parse().expect("literal address")],
+    );
     for rule in extra_netem {
         topo.server.add_egress(rule.clone());
     }
+    // The rep nonce keeps the name unique per run; the engine log
+    // carries no names, so it never shows in a sample.
+    let params = lazyeye_authns::TestParams::delay(delay_ms, target, format!("r{rep}"));
+    let qname = Name::parse(&format!("{}.rd.test", params.to_label()))
+        .expect("test-parameter labels are valid DNS labels");
     let client = Client::new(profile.clone(), topo.client.clone(), vec![resolver_addr()]);
     let res = topo
         .sim

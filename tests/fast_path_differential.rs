@@ -4,7 +4,7 @@
 //! one or both delayed records, the baseline plus a random lossy/jitter
 //! condition, a random refinement step), and each must report
 //! byte-identically whether every run is simulated or the compiled fast
-//! path models the runs it can.
+//! path models the CAD runs it can.
 
 use lazy_eye_inspection::campaign::{
     run_campaign, CampaignMatrix, CampaignOptions, CampaignSpec, NetemSpec, RdPlan,
